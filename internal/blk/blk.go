@@ -152,13 +152,12 @@ type Queue struct {
 	submitted uint64
 	completed uint64
 
-	// Recovery path. pending maps each in-device request to its armed
-	// watchdog token; a completion invalidates the token so the stale
-	// timer is a no-op even if the pooled request is reused.
+	// Recovery path. Each in-device request carries its own watchdog
+	// timer (device.Request.Watchdog); a completion cancels it in
+	// place. armed counts the pending watchdogs.
 	retry    RetryPolicy
-	pending  map[*device.Request]uint64
-	wdToken  uint64
-	wdCB     sim.Callback // persistent watchdog callback (arg=request, gen=token)
+	armed    int
+	wdCB     sim.Callback // persistent watchdog callback (arg=request)
 	retries  uint64
 	timeouts uint64
 	failures uint64
@@ -181,7 +180,7 @@ func NewQueue(eng *sim.Engine, dev *device.Device, sched Scheduler, ctl Controll
 	q := &Queue{eng: eng, dev: dev, sched: sched, ctl: ctl}
 	q.lock = host.NewServer(eng, "dispatch-lock:"+sched.Name())
 	q.lockFn = q.lockRelease
-	q.wdCB = func(arg any, token uint64) { q.onTimeout(arg.(*device.Request), token) }
+	q.wdCB = func(arg any) { q.onTimeout(arg.(*device.Request)) }
 	sched.Bind(q.Pump)
 	if ctl != nil {
 		ctl.Bind(q.toScheduler)
@@ -267,9 +266,6 @@ func (q *Queue) PathOverheads() Overheads {
 // run starts; the zero policy disables recovery.
 func (q *Queue) SetRetryPolicy(p RetryPolicy) {
 	q.retry = p
-	if p.Timeout > 0 && q.pending == nil {
-		q.pending = make(map[*device.Request]uint64)
-	}
 }
 
 // RetryPolicy returns the active recovery configuration.
@@ -288,6 +284,10 @@ func (q *Queue) Retries() uint64 { return q.retries }
 
 // Timeouts reports how many attempts the watchdog gave up on.
 func (q *Queue) Timeouts() uint64 { return q.timeouts }
+
+// ArmedWatchdogs reports how many in-device attempts have a pending
+// timeout watchdog right now.
+func (q *Queue) ArmedWatchdogs() int { return q.armed }
 
 // Failures reports how many requests exhausted their retry budget and
 // were failed up to the application.
@@ -322,7 +322,7 @@ func (q *Queue) CheckConservation(maxOutstanding int) []string {
 		v = append(v, fmt.Sprintf("queue %s: failures %d > completed %d",
 			name, q.failures, q.completed))
 	}
-	if n := len(q.pending); n > q.dev.Inflight() {
+	if n := q.armed; n > q.dev.Inflight() {
 		v = append(v, fmt.Sprintf(
 			"queue %s: %d armed timeout watchdogs > %d requests in device",
 			name, n, q.dev.Inflight()))
@@ -424,16 +424,17 @@ func (q *Queue) lockRelease() {
 // this is exactly the old direct submit — no extra events.
 func (q *Queue) toDevice(r *device.Request) {
 	if q.retry.Timeout > 0 {
-		q.wdToken++
-		token := q.wdToken
-		q.pending[r] = token
-		q.eng.AfterCall(q.retry.Timeout, q.wdCB, r, token)
+		q.armed++
+		q.eng.Reschedule(&r.Watchdog, q.eng.Now().Add(q.retry.Timeout), q.wdCB, r)
 	}
 	q.dev.Submit(r)
 }
 
 func (q *Queue) onDeviceDone(r *device.Request) {
-	delete(q.pending, r)
+	if r.Watchdog.Pending() {
+		q.armed--
+		q.eng.Cancel(&r.Watchdog)
+	}
 	if r.Failed || r.TimedOut {
 		// A failed attempt still releases scheduler/controller state
 		// (the kernel completes the request into the error path), then
@@ -466,14 +467,10 @@ func (q *Queue) finishBlame(r *device.Request) {
 	r.Blame = nil
 }
 
-// onTimeout is the watchdog for one dispatch attempt. A stale token
-// means the attempt already completed (or the pooled request moved on
-// to a new lifecycle) — strictly a no-op.
-func (q *Queue) onTimeout(r *device.Request, token uint64) {
-	if q.pending[r] != token {
-		return
-	}
-	delete(q.pending, r)
+// onTimeout is the watchdog for one dispatch attempt; a completion
+// cancels it, so it only ever fires for an attempt still in the device.
+func (q *Queue) onTimeout(r *device.Request) {
+	q.armed--
 	q.timeouts++
 	q.obs.Timeout(q.devName, r.Cgroup)
 	r.TimedOut = true

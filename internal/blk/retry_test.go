@@ -126,32 +126,63 @@ func TestTimeoutReclaimsLostRequests(t *testing.T) {
 
 // TestZeroPolicyAddsNoEvents: without a retry policy the queue must
 // schedule no watchdogs — event counts and results are identical to a
-// build without the recovery path at all.
+// build without the recovery path at all. An armed policy on a healthy
+// device costs no events either: each watchdog is a per-request timer
+// that the completion cancels in place, so none is ever popped. The
+// armed run must still really arm them, and they must still fire when
+// the device loses commands.
 func TestZeroPolicyAddsNoEvents(t *testing.T) {
-	run := func(pol blk.RetryPolicy, arm bool) (uint64, uint64) {
+	run := func(pol blk.RetryPolicy, arm bool) (events, done uint64, peakArmed int) {
 		eng, q, _ := newQueue(t, device.Flash980Profile())
 		if arm {
 			q.SetRetryPolicy(pol)
 		}
-		done := 0
+		n := 0
 		for i := 0; i < 100; i++ {
 			q.Submit(&device.Request{ID: uint64(i), Op: device.Read, Size: 4096,
-				OnComplete: func(*device.Request) { done++ }})
+				OnComplete: func(*device.Request) { n++ }})
 		}
-		eng.RunUntil(sim.Time(sim.Second))
-		if done != 100 {
-			t.Fatalf("completed %d/100", done)
+		horizon := sim.Time(sim.Second)
+		for {
+			if a := q.ArmedWatchdogs(); a > peakArmed {
+				peakArmed = a
+			}
+			if at, ok := eng.PeekNext(); !ok || at > horizon {
+				break
+			}
+			eng.Step()
 		}
-		return eng.Processed(), q.Completed()
+		eng.RunUntil(horizon)
+		if n != 100 {
+			t.Fatalf("completed %d/100", n)
+		}
+		if a := q.ArmedWatchdogs(); a != 0 {
+			t.Fatalf("%d watchdogs still armed after every request completed", a)
+		}
+		return eng.Processed(), q.Completed(), peakArmed
 	}
-	evBase, doneBase := run(blk.RetryPolicy{}, false)
-	evZero, doneZero := run(blk.RetryPolicy{}, true)
-	if evBase != evZero || doneBase != doneZero {
-		t.Fatalf("zero policy changed the event stream: events %d vs %d", evBase, evZero)
+	evBase, doneBase, _ := run(blk.RetryPolicy{}, false)
+	evZero, doneZero, peakZero := run(blk.RetryPolicy{}, true)
+	if evBase != evZero || doneBase != doneZero || peakZero != 0 {
+		t.Fatalf("zero policy changed the event stream: events %d vs %d, peak armed %d",
+			evBase, evZero, peakZero)
 	}
-	evArmed, _ := run(blk.DefaultRetryPolicy(), true)
-	if evArmed <= evBase {
-		t.Fatalf("armed watchdog scheduled no events: %d vs %d", evArmed, evBase)
+	evArmed, doneArmed, peakArmed := run(blk.DefaultRetryPolicy(), true)
+	if evArmed != evBase || doneArmed != doneBase {
+		t.Fatalf("healthy armed run popped %d events, unarmed %d: a cancelled watchdog reached the engine",
+			evArmed, evBase)
+	}
+	if peakArmed == 0 {
+		t.Fatal("armed policy never armed a watchdog")
+	}
+
+	// The same policy under a device that drops every command must time
+	// every attempt out.
+	eng, q, _ := newFaultyQueue(t, fault.Profile{DropProb: 1}, blk.DefaultRetryPolicy())
+	q.Submit(&device.Request{Op: device.Read, Size: 4096, OnComplete: func(*device.Request) {}})
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	if q.Timeouts() == 0 {
+		t.Fatal("armed watchdog never fired for a lost command")
 	}
 }
 

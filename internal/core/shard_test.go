@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"isolbench/internal/blk"
+	"isolbench/internal/fault"
 	"isolbench/internal/sim"
 	"isolbench/internal/workload"
 )
@@ -16,10 +18,17 @@ import (
 // runs one window, and returns the Result plus the fleet.
 func shardFleetRun(t *testing.T, knob Knob, shards int) (Result, *Fleet) {
 	t.Helper()
-	cl, err := NewFleet(Options{
-		Knob: knob, Devices: 4, Cores: 8, Seed: 5,
-		Control: RunControl{Shards: shards},
-	})
+	return shardFleetRunWith(t, Options{Knob: knob}, shards, nil)
+}
+
+// shardFleetRunWith is shardFleetRun over caller-supplied options
+// (Knob, Fault, Retry, ...); setup, when non-nil, configures each
+// tenant after it is placed.
+func shardFleetRunWith(t *testing.T, opts Options, shards int, setup func(*Tenant)) (Result, *Fleet) {
+	t.Helper()
+	opts.Devices, opts.Cores, opts.Seed = 4, 8, 5
+	opts.Control = RunControl{Shards: shards}
+	cl, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +36,41 @@ func shardFleetRun(t *testing.T, knob Knob, shards int) (Result, *Fleet) {
 		spec := churnSpec("")
 		spec.Apps[0].Core = i
 		spec.Apps[0].QD = 4
-		if _, err := cl.AddTenant(spec); err != nil {
+		tn, err := cl.AddTenant(spec)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if setup != nil {
+			setup(tn)
 		}
 	}
 	if err := cl.RunPhase(10*sim.Millisecond, 50*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	return cl.Result(), cl
+}
+
+// checkShardIdentity requires the sharded fleet's Result to equal the
+// single-engine run's, and every event the single engine ran to be on
+// exactly one of the sharded fleet's engines.
+func checkShardIdentity(t *testing.T, single, sharded Result, scl, pcl *Fleet) {
+	t.Helper()
+	if got := scl.Shards(); got != 0 {
+		t.Fatalf("unsharded fleet reports %d shards", got)
+	}
+	if got := pcl.Shards(); got != 4 {
+		t.Fatalf("sharded fleet reports %d shards, want 4", got)
+	}
+	if !reflect.DeepEqual(single, sharded) {
+		t.Fatalf("sharded result diverges:\nsingle  %+v\nsharded %+v", single, sharded)
+	}
+	shardSum := pcl.Eng.Processed()
+	for i := 0; i < pcl.Shards(); i++ {
+		shardSum += pcl.shardEngs[i].Processed()
+	}
+	if single := scl.Eng.Processed(); shardSum != single {
+		t.Fatalf("processed events: sharded total %d != single-engine %d", shardSum, single)
+	}
 }
 
 // TestShardedResultIdentity is the tentpole contract: a fleet advanced
@@ -46,26 +82,55 @@ func TestShardedResultIdentity(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			single, scl := shardFleetRun(t, k, 0)
 			sharded, pcl := shardFleetRun(t, k, 4)
-			if got := scl.Shards(); got != 0 {
-				t.Fatalf("unsharded fleet reports %d shards", got)
-			}
-			if got := pcl.Shards(); got != 4 {
-				t.Fatalf("sharded fleet reports %d shards, want 4", got)
-			}
-			if !reflect.DeepEqual(single, sharded) {
-				t.Fatalf("sharded result diverges:\nsingle  %+v\nsharded %+v", single, sharded)
-			}
-			// Work conservation: every event the single engine ran is on
-			// exactly one of the sharded fleet's engines.
-			shardSum := pcl.Eng.Processed()
-			for i := 0; i < pcl.Shards(); i++ {
-				shardSum += pcl.shardEngs[i].Processed()
-			}
-			if single := scl.Eng.Processed(); shardSum != single {
-				t.Fatalf("processed events: sharded total %d != single-engine %d", shardSum, single)
-			}
+			checkShardIdentity(t, single, sharded, scl, pcl)
 		})
 	}
+}
+
+// TestShardedTimerIdentity extends the identity to fleets whose
+// in-place timers really move: io.max release timers on tenants held
+// well under the device's bandwidth, and per-request blk timeout
+// watchdogs on devices that fail and lose commands. Both must fire
+// (throttle holds, timeouts) for the check to mean anything.
+func TestShardedTimerIdentity(t *testing.T) {
+	t.Run("io.max", func(t *testing.T) {
+		throttle := func(tn *Tenant) {
+			if err := tn.Group.SetFile("io.max", DevName(tn.Device)+" riops=2000"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := Options{Knob: KnobIOMax}
+		single, scl := shardFleetRunWith(t, opts, 0, throttle)
+		sharded, pcl := shardFleetRunWith(t, opts, 4, throttle)
+		checkShardIdentity(t, single, sharded, scl, pcl)
+		// 8 tenants capped at 2000 IOPS for 50 ms complete ~800 I/Os.
+		var ios uint64
+		for _, a := range scl.Apps {
+			ios += a.Stats().IOs
+		}
+		if ios == 0 || ios > 1200 {
+			t.Fatalf("throttled fleet completed %d I/Os; the io.max cap did not bind", ios)
+		}
+	})
+	t.Run("retry", func(t *testing.T) {
+		opts := Options{
+			Knob:  KnobNone,
+			Fault: fault.Profile{Name: "lossy", ErrorProb: 0.01, DropProb: 0.005},
+			Retry: blk.RetryPolicy{MaxRetries: 2, Backoff: 50 * sim.Microsecond,
+				BackoffMax: sim.Millisecond, Timeout: 2 * sim.Millisecond},
+		}
+		single, scl := shardFleetRunWith(t, opts, 0, nil)
+		sharded, pcl := shardFleetRunWith(t, opts, 4, nil)
+		checkShardIdentity(t, single, sharded, scl, pcl)
+		var timeouts, retries uint64
+		for _, q := range scl.Queues {
+			timeouts += q.Timeouts()
+			retries += q.Retries()
+		}
+		if timeouts == 0 || retries == 0 {
+			t.Fatalf("lossy fleet saw %d timeouts, %d retries; the watchdogs never fired", timeouts, retries)
+		}
+	})
 }
 
 // TestShardedSingleDevice pins that Shards > 1 on a one-device fleet

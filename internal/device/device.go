@@ -97,15 +97,15 @@ func New(eng *sim.Engine, prof Profile, seed uint64) (*Device, error) {
 	}
 	d := &Device{eng: eng, prof: prof, rng: sim.NewRNG(seed)}
 	d.pipe = newPipe(eng, prof.ReadRate, d.transferDone)
-	d.xferCB = func(arg any, _ uint64) {
+	d.xferCB = func(arg any) {
 		r := arg.(*Request)
 		// transferDemand is evaluated at fire time: it reads the pipe's
 		// current write share and fault state, which may have changed
 		// since the access delay was armed.
 		d.pipe.add(r, d.transferDemand(r))
 	}
-	d.finishCB = func(arg any, _ uint64) { d.finish(arg.(*Request)) }
-	d.gcTickCB = func(any, uint64) { d.gcDrainSlice() }
+	d.finishCB = func(arg any) { d.finish(arg.(*Request)) }
+	d.gcTickCB = func(any) { d.gcDrainSlice() }
 	return d, nil
 }
 
@@ -265,7 +265,7 @@ func (d *Device) startService(r *Request) {
 		}
 	}
 	d.channelBusy += access
-	d.eng.AfterCall(access, d.xferCB, r, 0)
+	d.eng.AfterCall(access, d.xferCB, r)
 }
 
 // chargeDevWait attributes the channel wait [r.Dispatch, now). The
@@ -433,7 +433,7 @@ func (d *Device) transferDone(r *Request) {
 	if r.extraLat > 0 {
 		extra := r.extraLat
 		r.extraLat = 0
-		d.eng.AfterCall(extra, d.finishCB, r, 0)
+		d.eng.AfterCall(extra, d.finishCB, r)
 		return
 	}
 	d.finish(r)
@@ -495,7 +495,7 @@ const gcSlice = 10 * sim.Millisecond
 
 // gcTick arms the next drain slice.
 func (d *Device) gcTick() {
-	d.eng.AfterCall(gcSlice, d.gcTickCB, nil, 0)
+	d.eng.AfterCall(gcSlice, d.gcTickCB, nil)
 }
 
 // gcDrainSlice retires one slice worth of debt and re-arms until the

@@ -19,7 +19,7 @@ type pipe struct {
 	s     float64 // cumulative per-flow service
 	lastT sim.Time
 	flows flowHeap
-	gen   uint64 // invalidates stale completion events
+	timer sim.Timer // next completion; moved in place on every change
 	done  func(*Request)
 
 	nWrite int // active write flows, for interference bookkeeping
@@ -66,10 +66,10 @@ func (p *pipe) writeShare() float64 {
 	return float64(p.nWrite) / float64(len(p.flows))
 }
 
-// reschedule arms the next completion event.
+// reschedule moves the completion timer to the head flow's finish.
 func (p *pipe) reschedule() {
-	p.gen++
 	if len(p.flows) == 0 {
+		p.eng.Cancel(&p.timer)
 		return
 	}
 	head := p.flows[0]
@@ -81,19 +81,13 @@ func (p *pipe) reschedule() {
 	// Round up: a truncated wait would fire at the same instant with
 	// the head still fractionally unserved and spin forever.
 	wait++
-	p.eng.AfterCall(wait, pipeCompleteCB, p, p.gen)
+	p.eng.Reschedule(&p.timer, p.eng.Now().Add(wait), pipeCompleteCB, p)
 }
 
 // pipeCompleteCB is the persistent completion callback: every arrival
 // or departure reschedules it, so an allocated closure here would be
 // the hottest allocation in the simulator.
-func pipeCompleteCB(arg any, gen uint64) {
-	p := arg.(*pipe)
-	if gen != p.gen {
-		return
-	}
-	p.completeReady()
-}
+func pipeCompleteCB(arg any) { arg.(*pipe).completeReady() }
 
 // completeReady pops every flow whose demand has been served.
 func (p *pipe) completeReady() {

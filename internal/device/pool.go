@@ -1,5 +1,7 @@
 package device
 
+import "fmt"
+
 // Pool is a deterministic freelist of Requests backed by arena chunks.
 // It is the allocation source for the whole request lifecycle: apps Get
 // a request at submit time and Put it back at reap time, so steady
@@ -54,8 +56,13 @@ func (p *Pool) Get() *Request {
 }
 
 // Put resets r and returns it to the freelist. The caller must not
-// retain r afterwards.
+// retain r afterwards. Putting a request whose Watchdog is still armed
+// panics: the engine's timer heap points into the request, so resetting
+// or reusing it would corrupt the heap.
 func (p *Pool) Put(r *Request) {
+	if r.Watchdog.Pending() {
+		panic(fmt.Sprintf("device: pooled request %d with its watchdog still armed", r.ID))
+	}
 	p.puts++
 	r.Reset()
 	p.free = append(p.free, r)

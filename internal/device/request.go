@@ -87,6 +87,11 @@ type Request struct {
 	TimedOut bool
 	Attempts int
 
+	// Watchdog is the blk layer's timeout for the attempt in the
+	// device. It is pending from dispatch until completion or expiry,
+	// and must not be pending when the request is pooled or reset.
+	Watchdog sim.Timer
+
 	// pipe bookkeeping (device-internal).
 	finishS  float64
 	heapIdx  int

@@ -2,8 +2,11 @@ package device
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
+
+	"isolbench/internal/sim"
 )
 
 // poison writes a non-zero value of v's type into v, reaching through
@@ -33,6 +36,11 @@ func poison(v reflect.Value) {
 		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
 	case reflect.Map:
 		v.Set(reflect.MakeMap(v.Type()))
+	case reflect.Interface:
+		if v.NumMethod() != 0 {
+			panic("poison: add a value for interface " + v.Type().String())
+		}
+		v.Set(reflect.ValueOf(7))
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			poison(v.Field(i))
@@ -99,5 +107,38 @@ func TestPoolRecyclesReset(t *testing.T) {
 	gets, puts := p.Stats()
 	if gets != 2 || puts != 1 {
 		t.Fatalf("stats = %d gets, %d puts", gets, puts)
+	}
+}
+
+// TestPoolPutRejectsArmedWatchdog: the engine's timer heap points into
+// a request whose watchdog is pending, so pooling (and so resetting) it
+// would corrupt the heap. Put must refuse loudly, and accept the same
+// request once the watchdog is cancelled.
+func TestPoolPutRejectsArmedWatchdog(t *testing.T) {
+	eng := sim.NewEngine()
+	p := NewPool()
+	r := p.Get()
+	r.ID = 9
+	eng.Reschedule(&r.Watchdog, 100, func(any) { t.Error("cancelled watchdog fired") }, r)
+
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "watchdog still armed") {
+				t.Fatalf("Put of an armed request: recovered %q, want the armed-watchdog panic", msg)
+			}
+		}()
+		p.Put(r)
+	}()
+	if _, puts := p.Stats(); puts != 0 || !r.Watchdog.Pending() || r.ID != 9 {
+		t.Fatalf("rejected Put still touched the request: puts=%d pending=%v id=%d",
+			puts, r.Watchdog.Pending(), r.ID)
+	}
+
+	eng.Cancel(&r.Watchdog)
+	p.Put(r)
+	eng.Run()
+	if eng.Pending() != 0 || eng.Processed() != 0 {
+		t.Fatalf("engine after cancel: pending=%d processed=%d", eng.Pending(), eng.Processed())
 	}
 }

@@ -133,14 +133,14 @@ type Controller struct {
 }
 
 type gstate struct {
-	id       int
-	vtime    float64
-	hweight  float64 // effective share after donation
-	active   bool
-	lastUse  sim.Time
-	waiting  blk.Ring
-	timerGen uint64
-	absUsed  float64 // raw (pre-weight) cost issued since the last period
+	id      int
+	vtime   float64
+	hweight float64 // effective share after donation
+	active  bool
+	lastUse sim.Time
+	waiting blk.Ring
+	timer   sim.Timer // budget-check release
+	absUsed float64   // raw (pre-weight) cost issued since the last period
 }
 
 // New returns an io.cost controller for one device.
@@ -152,13 +152,7 @@ func New(eng *sim.Engine, tree *cgroup.Tree, dev string) *Controller {
 	}
 	c.reloadConfig()
 	c.vrateMin, c.vrateMax = c.vrate, c.vrate
-	c.releaseCB = func(arg any, gen uint64) {
-		s := arg.(*gstate)
-		if gen != s.timerGen {
-			return
-		}
-		c.release(s)
-	}
+	c.releaseCB = func(arg any) { c.release(arg.(*gstate)) }
 	c.periodFn = c.periodTick
 	c.qosFn = c.qosTick
 	// Activation is per controller (per device), as in the kernel where
@@ -333,8 +327,7 @@ func (c *Controller) armRelease(s *gstate) {
 	if wait < 2*sim.Microsecond {
 		wait = 2 * sim.Microsecond
 	}
-	s.timerGen++
-	c.eng.AfterCall(wait, c.releaseCB, s, s.timerGen)
+	c.eng.Reschedule(&s.timer, c.eng.Now().Add(wait), c.releaseCB, s)
 }
 
 // release forwards waiting requests while budget allows.
@@ -366,7 +359,7 @@ func (c *Controller) DetachGroup(cg int) {
 	if !ok || s.waiting.Len() > 0 {
 		return
 	}
-	s.timerGen++ // disarm any armed release timer
+	c.eng.Cancel(&s.timer)
 	wasActive := s.active
 	delete(c.groups, cg)
 	if wasActive {

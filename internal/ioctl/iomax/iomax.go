@@ -56,18 +56,15 @@ type bucket struct {
 	rOps, wOps     float64 // op token balances
 	last           sim.Time
 	waiting        blk.Ring
-	timerGen       uint64
+	timer          sim.Timer // deficit-repaid release
 }
 
 // New returns an io.max controller reading limits for device dev from
 // the cgroup tree.
 func New(eng *sim.Engine, tree *cgroup.Tree, dev string) *Controller {
 	c := &Controller{eng: eng, tree: tree, dev: dev, groups: make(map[int]*bucket), HoldLayer: attr.LayerThrottle}
-	c.releaseCB = func(arg any, gen uint64) {
+	c.releaseCB = func(arg any) {
 		b := arg.(*bucket)
-		if gen != b.timerGen {
-			return
-		}
 		c.release(b.id, b)
 	}
 	return c
@@ -203,8 +200,7 @@ func (c *Controller) sampleBucket(id int, b *bucket, lim cgroup.IOMax) {
 // deficit is repaid.
 func (c *Controller) armTimer(b *bucket, lim cgroup.IOMax) {
 	wait := c.deficitWait(b, lim)
-	b.timerGen++
-	c.eng.AfterCall(wait, c.releaseCB, b, b.timerGen)
+	c.eng.Reschedule(&b.timer, c.eng.Now().Add(wait), c.releaseCB, b)
 }
 
 // deficitWait returns how long until all limited balances reach zero.
@@ -247,14 +243,13 @@ func (c *Controller) release(id int, b *bucket) {
 
 // DetachGroup drops the cgroup's token bucket after its traffic has
 // drained (blk.GroupDetacher). A bucket with throttled requests still
-// waiting is kept; any armed release timer is disarmed via the bucket
-// generation.
+// waiting is kept; any armed release timer is cancelled.
 func (c *Controller) DetachGroup(cg int) {
 	b, ok := c.groups[cg]
 	if !ok || b.waiting.Len() > 0 {
 		return
 	}
-	b.timerGen++
+	c.eng.Cancel(&b.timer)
 	delete(c.groups, cg)
 }
 

@@ -78,8 +78,9 @@ type Scheduler struct {
 	everSeen     [3]bool
 	windowKickAt sim.Time
 
-	// Persistent timer callbacks; the window kick smuggles its arm time
-	// through the gen slot (sim.Time is a non-negative int64).
+	// Persistent timer callbacks. Every window kick pumps, including
+	// one superseded by an earlier kick, so they stay plain events; a
+	// kick firing at windowKickAt is the one that set it.
 	windowKickCB sim.Callback
 	agingCB      sim.Callback
 }
@@ -123,15 +124,15 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 		cfg.WritesStarved = 2
 	}
 	s := &Scheduler{eng: eng, cfg: cfg}
-	s.windowKickCB = func(_ any, gen uint64) {
-		if s.windowKickAt == sim.Time(gen) {
+	s.windowKickCB = func(any) {
+		if s.windowKickAt == s.eng.Now() {
 			s.windowKickAt = 0
 		}
 		if s.kick != nil {
 			s.kick()
 		}
 	}
-	s.agingCB = func(any, uint64) {
+	s.agingCB = func(any) {
 		s.timerArmed = false
 		if s.kick != nil {
 			s.kick()
@@ -193,7 +194,7 @@ func (s *Scheduler) armWindowKick(at sim.Time) {
 		return // an earlier-or-equal kick is already armed
 	}
 	s.windowKickAt = at
-	s.eng.AtCall(at, s.windowKickCB, nil, uint64(at))
+	s.eng.AtCall(at, s.windowKickCB, nil)
 }
 
 // armAgingTimer ensures a future kick so aged lower-class requests get
@@ -203,7 +204,7 @@ func (s *Scheduler) armAgingTimer() {
 		return
 	}
 	s.timerArmed = true
-	s.eng.AfterCall(s.cfg.PrioAgingExpire, s.agingCB, nil, 0)
+	s.eng.AfterCall(s.cfg.PrioAgingExpire, s.agingCB, nil)
 }
 
 func (s *Scheduler) pending() int {

@@ -59,8 +59,8 @@ func New(eng *sim.Engine, tree *cgroup.Tree, dev string, cfg Config) *Shaper {
 		prev:    make(map[int]prevSig),
 		applied: make(map[int]float64),
 	}
-	s.tickCB = func(any, uint64) { s.tick() }
-	s.eng.AfterCall(cfg.Window, s.tickCB, nil, 0)
+	s.tickCB = func(any) { s.tick() }
+	s.eng.AfterCall(cfg.Window, s.tickCB, nil)
 	return s
 }
 
@@ -105,7 +105,7 @@ func (s *Shaper) tick() {
 	}
 	s.apply(targets)
 	s.sample()
-	s.eng.AfterCall(s.cfg.Window, s.tickCB, nil, 0)
+	s.eng.AfterCall(s.cfg.Window, s.tickCB, nil)
 }
 
 // estimate reduces the observer's cumulative io.stat / io.pressure /

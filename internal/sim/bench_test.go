@@ -114,3 +114,29 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEngineTimer measures the in-place timer path under a
+// reschedule-heavy load: a plain event chain where every firing moves
+// one of 64 timers to a fresh deadline, as a device pipe does on every
+// arrival. About half the reschedules catch a timer still pending and
+// move it in place; the rest re-arm one that already fired. One op is
+// one Step. Must report 0 allocs/op.
+func BenchmarkEngineTimer(b *testing.B) {
+	const timers = 64
+	e := NewEngine()
+	tms := make([]Timer, timers)
+	var k int
+	fire := func(any) {}
+	var tick Callback
+	tick = func(any) {
+		k++
+		e.Reschedule(&tms[k%timers], e.Now().Add(Duration(6000+k%1000)), fire, nil)
+		e.AfterCall(100, tick, nil)
+	}
+	e.AfterCall(100, tick, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

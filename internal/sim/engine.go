@@ -1,20 +1,20 @@
 package sim
 
 // Callback is the engine's event entry point: a persistent function
-// that receives the argument and generation it was scheduled with.
-// Hot paths schedule a long-lived Callback via AtCall/AfterCall
-// instead of building a fresh closure per event — the engine stores
-// arg and gen inline in the event, and pointer-shaped args (pointers,
-// funcs, maps, channels) ride in the any without allocating, so
-// steady-state timer scheduling is allocation-free. gen is an opaque
-// invalidation token: callbacks that can go stale compare it against
-// their owner's current generation and return early on a mismatch.
-type Callback func(arg any, gen uint64)
+// that receives the argument it was scheduled with. Hot paths schedule
+// a long-lived Callback via AtCall/AfterCall/Reschedule instead of
+// building a fresh closure per event — the engine stores arg inline,
+// and pointer-shaped args (pointers, funcs, maps, channels) ride in the
+// any without allocating, so steady-state scheduling is
+// allocation-free. A deadline that can be superseded belongs in a
+// Timer, which moves its one pending event instead of leaving a stale
+// one behind.
+type Callback func(arg any)
 
 // runThunk adapts a plain func() scheduled through At/After to the
 // Callback shape. A func() stored in an any is pointer-shaped, so the
 // adaptation costs nothing.
-func runThunk(arg any, _ uint64) { arg.(func())() }
+func runThunk(arg any) { arg.(func())() }
 
 // event is a scheduled callback. Events at the same instant fire in
 // scheduling order (seq breaks ties) so runs are deterministic.
@@ -23,7 +23,6 @@ type event struct {
 	seq  uint64
 	call Callback
 	arg  any
-	gen  uint64
 }
 
 // Engine is a deterministic discrete-event simulator. The zero value is
@@ -37,10 +36,16 @@ type event struct {
 // is a total order (seq is unique), any heap shape pops events in
 // exactly the same sequence, so this rewrite is observably identical
 // to the old binary heap.
+//
+// Timers (see Timer) sit in a second, indexed binary heap beside the
+// event heap; the engine always runs whichever head is earlier in
+// (at, seq). Keeping them apart leaves the plain event path free of
+// the back-pointer an in-place reschedule needs.
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []event // 4-ary min-heap, root at index 0
+	events []event  // 4-ary min-heap, root at index 0
+	timers []*Timer // binary min-heap of armed timers, root at index 0
 	nRun   uint64
 
 	wd      *watchdogState // nil when no watchdog is armed
@@ -56,8 +61,8 @@ func (e *Engine) Now() Time { return e.now }
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
-// Pending reports how many events are waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports how many events and armed timers are waiting to run.
+func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
 
 // eventLess orders events by (at, seq).
 func eventLess(a, b event) bool {
@@ -128,7 +133,7 @@ func (e *Engine) pop() event {
 // At schedules fn to run at virtual time t. Scheduling in the past runs
 // the event at the current time (never before now).
 func (e *Engine) At(t Time, fn func()) {
-	e.AtCall(t, runThunk, fn, 0)
+	e.AtCall(t, runThunk, fn)
 }
 
 // After schedules fn to run d after the current time.
@@ -136,44 +141,62 @@ func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.AtCall(e.now.Add(d), runThunk, fn, 0)
+	e.AtCall(e.now.Add(d), runThunk, fn)
 }
 
-// AtCall schedules call(arg, gen) at virtual time t. Scheduling in the
-// past runs the event at the current time (never before now). This is
-// the allocation-free scheduling path: call is expected to be a
-// persistent function (package-level or built once per component), and
-// arg/gen carry the per-event state that a closure would otherwise
-// capture.
-func (e *Engine) AtCall(t Time, call Callback, arg any, gen uint64) {
+// AtCall schedules call(arg) at virtual time t. Scheduling in the past
+// runs the event at the current time (never before now). This is the
+// allocation-free scheduling path: call is expected to be a persistent
+// function (package-level or built once per component), and arg
+// carries the per-event state that a closure would otherwise capture.
+func (e *Engine) AtCall(t Time, call Callback, arg any) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, call: call, arg: arg, gen: gen})
+	e.push(event{at: t, seq: e.seq, call: call, arg: arg})
 }
 
-// AfterCall schedules call(arg, gen) at d after the current time.
-func (e *Engine) AfterCall(d Duration, call Callback, arg any, gen uint64) {
+// AfterCall schedules call(arg) at d after the current time.
+func (e *Engine) AfterCall(d Duration, call Callback, arg any) {
 	if d < 0 {
 		d = 0
 	}
-	e.AtCall(e.now.Add(d), call, arg, gen)
+	e.AtCall(e.now.Add(d), call, arg)
+}
+
+// next reports the earliest pending entry's time; tm is non-nil when
+// that entry is an armed timer rather than a plain event.
+func (e *Engine) next() (at Time, tm *Timer, ok bool) {
+	if len(e.timers) > 0 && (len(e.events) == 0 || e.timerFirst()) {
+		tm = e.timers[0]
+		return tm.at, tm, true
+	}
+	if len(e.events) == 0 {
+		return 0, nil, false
+	}
+	return e.events[0].at, nil, true
 }
 
 // Step runs the single earliest pending event. It reports whether an
 // event was run. A stopped engine (see Err) runs nothing.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 || e.stopErr != nil {
+	if e.stopErr != nil {
 		return false
 	}
-	if e.wd != nil && !e.admit() {
+	at, tm, ok := e.next()
+	if !ok || (e.wd != nil && !e.admit(at)) {
 		return false
+	}
+	e.now = at
+	e.nRun++
+	if tm != nil {
+		e.removeTimer(0)
+		tm.call(tm.arg)
+		return true
 	}
 	ev := e.pop()
-	e.now = ev.at
-	e.nRun++
-	ev.call(ev.arg, ev.gen)
+	ev.call(ev.arg)
 	return true
 }
 
@@ -181,10 +204,8 @@ func (e *Engine) Step() bool {
 // false when no events are pending. Shard coordinators use this on the
 // global engine to compute the next conservative window edge.
 func (e *Engine) PeekNext() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	at, _, ok := e.next()
+	return at, ok
 }
 
 // RunUntil executes events in timestamp order until the clock reaches t
@@ -192,7 +213,10 @@ func (e *Engine) PeekNext() (Time, bool) {
 // with events still pending, so follow-up scheduling is relative to the
 // horizon.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.stopErr == nil && e.events[0].at <= t {
+	for e.stopErr == nil {
+		if at, _, ok := e.next(); !ok || at > t {
+			break
+		}
 		e.Step()
 	}
 	if e.stopErr == nil && e.now < t {
@@ -208,7 +232,10 @@ func (e *Engine) RunUntil(t Time) {
 // unsharded order, where globally scheduled events carry smaller
 // sequence numbers than any event scheduled during the run.
 func (e *Engine) RunBefore(t Time) {
-	for len(e.events) > 0 && e.stopErr == nil && e.events[0].at < t {
+	for e.stopErr == nil {
+		if at, _, ok := e.next(); !ok || at >= t {
+			break
+		}
 		e.Step()
 	}
 	if e.stopErr == nil && e.now < t {

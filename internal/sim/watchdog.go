@@ -105,10 +105,9 @@ func (e *Engine) stop(reason string) {
 }
 
 // admit runs the armed watchdog's checks against the next pending
-// event (e.events[0]); false means the engine has been stopped.
-func (e *Engine) admit() bool {
+// event or timer, due at at; false means the engine has been stopped.
+func (e *Engine) admit(at Time) bool {
 	w := e.wd
-	at := e.events[0].at
 	if w.Paranoid && at < e.now {
 		e.stop(fmt.Sprintf("clock went backwards: next event at %v is before now %v", at, e.now))
 		return false

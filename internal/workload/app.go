@@ -64,8 +64,8 @@ type App struct {
 	bytesRead int64
 	bytesWrit int64
 
-	wakeGen uint64
-	wakeCB  sim.Callback // persistent generation-guarded wakeup
+	wakeTimer sim.Timer    // pending rate-limit/burst wakeup
+	wakeCB    sim.Callback // persistent wakeup callback
 
 	// Churn support: a quiesced app stops issuing and fires onDrained
 	// once nothing it built remains in flight (mid-run tenant removal
@@ -98,12 +98,7 @@ func NewApp(eng *sim.Engine, cpu *host.CPU, costs host.Costs, q *blk.Queue, spec
 	a.submitFn = a.submitBatch
 	a.reapFn = a.reapBatch
 	a.onCompleteFn = a.onComplete
-	a.wakeCB = func(_ any, gen uint64) {
-		if gen != a.wakeGen {
-			return
-		}
-		a.trySubmit()
-	}
+	a.wakeCB = func(any) { a.trySubmit() }
 	a.cgID = spec.Group.ID()
 	a.pool = device.NewPool()
 	a.acct = cpu.NewAccount(a.over.CtxPerIO, a.over.CyclesPerIO)
@@ -188,13 +183,12 @@ func maxf(x, y float64) float64 {
 // Quiesce stops the app from issuing new requests and arranges for
 // onDrained to fire (inside the engine) once every request it built has
 // been reaped. An app with nothing in flight drains synchronously.
-// Pending rate-limit/burst wakeups are cancelled via the wake
-// generation. Quiescing is permanent — it is the first half of tenant
-// removal, not a pause.
+// A pending rate-limit/burst wakeup is cancelled. Quiescing is
+// permanent — it is the first half of tenant removal, not a pause.
 func (a *App) Quiesce(onDrained func()) {
 	a.quiesced = true
 	a.onDrained = onDrained
-	a.wakeGen++ // drop any armed wakeups
+	a.eng.Cancel(&a.wakeTimer)
 	a.maybeDrained()
 }
 
@@ -290,11 +284,9 @@ func (a *App) submitBatch() {
 	a.trySubmit()
 }
 
-// wake schedules a generation-guarded retry (later wakes that were
-// superseded by real activity are dropped).
+// wake moves the app's retry to at, superseding any earlier wake.
 func (a *App) wake(at sim.Time) {
-	a.wakeGen++
-	a.eng.AtCall(at, a.wakeCB, nil, a.wakeGen)
+	a.eng.Reschedule(&a.wakeTimer, at, a.wakeCB, nil)
 }
 
 // buildRequest pulls a pooled request and fills it. This is the

@@ -70,12 +70,9 @@ type ReplayApp struct {
 	startAt sim.Time // engine time when Start ran
 
 	// Arrival scheduling state: slots carry one pending arrival each
-	// through the engine as pointer-shaped (arg, gen) callbacks; free
-	// slots recycle through slotFree. gen invalidates stale arrivals
-	// (none are ever dropped today, but the guard keeps the callback
-	// shape uniform with the rest of the engine).
+	// through the engine as pointer-shaped callback args; free slots
+	// recycle through slotFree.
 	slotFree  []*replaySlot
-	gen       uint64
 	scheduled int
 	schedPeak int
 	srcDone   bool
@@ -121,11 +118,8 @@ type replaySlot struct {
 // replayArrive is the shared arrival callback: every scheduled entry
 // funnels through it with its slot as arg. A top-level function keeps
 // the hot path free of per-event closures.
-func replayArrive(arg any, gen uint64) {
+func replayArrive(arg any) {
 	s := arg.(*replaySlot)
-	if gen != s.app.gen {
-		return
-	}
 	s.app.arrive(s)
 }
 
@@ -240,7 +234,7 @@ func (a *ReplayApp) scheduleNext() bool {
 	if a.scheduled > a.schedPeak {
 		a.schedPeak = a.scheduled
 	}
-	a.eng.AtCall(at, replayArrive, s, a.gen)
+	a.eng.AtCall(at, replayArrive, s)
 	return true
 }
 
