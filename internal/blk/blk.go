@@ -98,12 +98,15 @@ type Scheduler interface {
 	Insert(r *device.Request)
 	Dispatch() *device.Request
 	Completed(r *device.Request)
+	// Overheads is the scheduler's fixed per-I/O cost. NewQueue reads
+	// it once and caches it, so it must not change afterwards.
 	Overheads() Overheads
 	// DispatchWindow bounds how many requests the scheduler keeps in
 	// flight at the device (0 = device limit). Real schedulers pace
 	// dispatch well below the NVMe queue depth; without this bound a
 	// backlogged queue would burn through its service budget in an
-	// instant and scheduling policy would never bite.
+	// instant and scheduling policy would never bite. NewQueue reads
+	// it once and caches it, so it must not change afterwards.
 	DispatchWindow() int
 }
 
@@ -115,6 +118,8 @@ type Controller interface {
 	Bind(next func(*device.Request))
 	Submit(r *device.Request)
 	Completed(r *device.Request)
+	// Overheads is the controller's fixed per-I/O cost. NewQueue reads
+	// it once and caches it, so it must not change afterwards.
 	Overheads() Overheads
 }
 
@@ -137,6 +142,12 @@ type Queue struct {
 	sched Scheduler
 	ctl   Controller
 	lock  *host.Server
+
+	// Path constants, computed once by NewQueue: the combined
+	// scheduler+controller overheads and the in-flight dispatch limit,
+	// min(device MaxQD, scheduler DispatchWindow).
+	over  Overheads
+	limit int
 
 	reserved int // dispatch decisions in flight toward the device
 	pumping  bool
@@ -178,6 +189,14 @@ type Queue struct {
 // The scheduler must not be nil; use the noop scheduler for "none".
 func NewQueue(eng *sim.Engine, dev *device.Device, sched Scheduler, ctl Controller) *Queue {
 	q := &Queue{eng: eng, dev: dev, sched: sched, ctl: ctl}
+	q.over = sched.Overheads()
+	if ctl != nil {
+		q.over = q.over.Add(ctl.Overheads())
+	}
+	q.limit = dev.Profile().MaxQD
+	if w := sched.DispatchWindow(); w > 0 && w < q.limit {
+		q.limit = w
+	}
 	q.lock = host.NewServer(eng, "dispatch-lock:"+sched.Name())
 	q.lockFn = q.lockRelease
 	q.wdCB = func(arg any) { q.onTimeout(arg.(*device.Request)) }
@@ -254,13 +273,7 @@ func (q *Queue) DetachGroup(cg int) {
 
 // PathOverheads returns the combined controller+scheduler overheads,
 // which the workload layer charges to the issuing core.
-func (q *Queue) PathOverheads() Overheads {
-	o := q.sched.Overheads()
-	if q.ctl != nil {
-		o = o.Add(q.ctl.Overheads())
-	}
-	return o
-}
+func (q *Queue) PathOverheads() Overheads { return q.over }
 
 // SetRetryPolicy installs the recovery configuration. Call before the
 // run starts; the zero policy disables recovery.
@@ -360,7 +373,8 @@ func (q *Queue) toScheduler(r *device.Request) {
 
 // Pump moves dispatchable requests to the device while it has room.
 // The pumping flag keeps re-entrant calls (scheduler kicks from inside
-// dispatch) from nesting.
+// dispatch) from nesting. The lock hold and dispatch limit are the
+// path constants NewQueue cached at wiring time.
 func (q *Queue) Pump() {
 	if q.pumping {
 		return
@@ -368,12 +382,8 @@ func (q *Queue) Pump() {
 	q.pumping = true
 	defer func() { q.pumping = false }()
 
-	hold := q.PathOverheads().LockHold
-	limit := q.dev.Profile().MaxQD
-	if w := q.sched.DispatchWindow(); w > 0 && w < limit {
-		limit = w
-	}
-	for q.dev.Inflight()+q.reserved < limit {
+	hold := q.over.LockHold
+	for q.dev.Inflight()+q.reserved < q.limit {
 		r := q.sched.Dispatch()
 		if r == nil {
 			return

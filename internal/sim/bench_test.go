@@ -56,8 +56,8 @@ func BenchmarkRNGExpDuration(b *testing.B) {
 
 // boxedEventHeap is the pre-rewrite container/heap implementation,
 // kept as the baseline side of BenchmarkEngineHotLoop: every Push
-// boxes an event into an interface, allocating per call.
-type boxedEventHeap []event
+// boxes a key into an interface, allocating per call.
+type boxedEventHeap []eventKey
 
 func (h boxedEventHeap) Len() int { return len(h) }
 func (h boxedEventHeap) Less(i, j int) bool {
@@ -67,7 +67,7 @@ func (h boxedEventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h boxedEventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedEventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *boxedEventHeap) Push(x interface{}) { *h = append(*h, x.(eventKey)) }
 func (h *boxedEventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -88,14 +88,14 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		var seq uint64
 		for i := 0; i < pending; i++ {
 			seq++
-			e.push(event{at: Time(i), seq: seq})
+			e.push(eventKey{at: Time(i), seq: seq})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev := e.pop()
 			seq++
-			e.push(event{at: ev.at + pending, seq: seq})
+			e.push(eventKey{at: ev.at + pending, seq: seq})
 		}
 	})
 	b.Run("container-heap", func(b *testing.B) {
@@ -103,14 +103,14 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		var seq uint64
 		for i := 0; i < pending; i++ {
 			seq++
-			heap.Push(&h, event{at: Time(i), seq: seq})
+			heap.Push(&h, eventKey{at: Time(i), seq: seq})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ev := heap.Pop(&h).(event)
+			ev := heap.Pop(&h).(eventKey)
 			seq++
-			heap.Push(&h, event{at: ev.at + pending, seq: seq})
+			heap.Push(&h, eventKey{at: ev.at + pending, seq: seq})
 		}
 	})
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Callback is the engine's event entry point: a persistent function
 // that receives the argument it was scheduled with. Hot paths schedule
 // a long-lived Callback via AtCall/AfterCall/Reschedule instead of
@@ -16,11 +18,20 @@ type Callback func(arg any)
 // adaptation costs nothing.
 func runThunk(arg any) { arg.(func())() }
 
-// event is a scheduled callback. Events at the same instant fire in
+// eventKey is one entry of the plain-event heap: the (at, seq) order
+// key plus the index of the event's payload slot. It holds no
+// pointers, so sifting keys through the heap copies plain words and
+// never runs the GC write barrier. Events at the same instant fire in
 // scheduling order (seq breaks ties) so runs are deterministic.
-type event struct {
+type eventKey struct {
 	at   Time
 	seq  uint64
+	slot int
+}
+
+// payload is what a plain event runs: call(arg). It stays in its slot
+// while the event's key moves through the heap.
+type payload struct {
 	call Callback
 	arg  any
 }
@@ -28,14 +39,19 @@ type event struct {
 // Engine is a deterministic discrete-event simulator. The zero value is
 // ready to use; time starts at 0.
 //
-// The pending-event queue is an inlined 4-ary min-heap specialized to
-// event, ordered by (at, seq). Compared to container/heap it avoids
-// the interface boxing that allocated one event copy per Push, and the
-// wider fan-out halves the sift-down depth — the hot operation, since
-// the engine's steady state is pop-one, push-a-few. Because (at, seq)
-// is a total order (seq is unique), any heap shape pops events in
-// exactly the same sequence, so this rewrite is observably identical
-// to the old binary heap.
+// The pending-event queue is an inlined 4-ary min-heap of eventKeys,
+// ordered by (at, seq). Each key names a slot in a payload table that
+// holds the event's callback and argument; freed slots are reused LIFO
+// through a free list. The wide fan-out halves the sift-down depth of
+// a binary heap — the hot operation, since the engine's steady state
+// is pop-one, push-a-few — and the pointer-free keys keep each sift
+// level to plain word copies. Because (at, seq) is a total order (seq
+// is unique), any heap shape pops events in exactly the same sequence.
+//
+// The order compares (at, seq) as one 128-bit unsigned number, with at
+// as the high word (see before). That is exact only because at is
+// never negative: the clock starts at 0, never moves backwards, and
+// AtCall and Reschedule clamp every deadline to now.
 //
 // Timers (see Timer) sit in a second, indexed binary heap beside the
 // event heap; the engine always runs whichever head is earlier in
@@ -44,8 +60,10 @@ type event struct {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []event  // 4-ary min-heap, root at index 0
-	timers []*Timer // binary min-heap of armed timers, root at index 0
+	events []eventKey // 4-ary min-heap, root at index 0
+	slots  []payload  // payloads of pending events, indexed by eventKey.slot
+	free   []int      // unused slots, reused last-freed first
+	timers []*Timer   // binary min-heap of armed timers, root at index 0
 	nRun   uint64
 
 	wd      *watchdogState // nil when no watchdog is armed
@@ -64,69 +82,84 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // Pending reports how many events and armed timers are waiting to run.
 func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
 
-// eventLess orders events by (at, seq).
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before returns 1 when key a precedes key b in (at, seq) order and 0
+// otherwise. It subtracts the keys as 128-bit unsigned numbers, low
+// word (seq) first, and returns the final borrow, so the result is a
+// value rather than a branch; the caller turns it into an index or a
+// mask. Times are never negative (see Engine), so uint64(at) keeps
+// their order.
+func before(a, b *eventKey) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
 
-// push inserts ev, sifting the hole up instead of swapping: each level
+// push inserts k, sifting the hole up instead of swapping: each level
 // does one compare and one move.
-func (e *Engine) push(ev event) {
-	h := append(e.events, event{})
+func (e *Engine) push(k eventKey) {
+	h := append(e.events, eventKey{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(ev, h[p]) {
+		if before(&k, &h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
+	h[i] = k
 	e.events = h
 }
 
-// pop removes and returns the minimum event. The last element is
-// sifted down into the root hole; moving it (rather than swapping at
-// each level) keeps the common pop-then-push pattern at one write per
-// level plus the final placement.
-func (e *Engine) pop() event {
+// pop removes and returns the minimum key. The last key is sifted down
+// into the root hole; moving it (rather than swapping at each level)
+// keeps the common pop-then-push pattern at one write per level plus
+// the final placement. Where a node has all four children, the minimum
+// is picked as a tournament of borrow bits with no data-dependent
+// branch: the child order is random, so a branch there mispredicts
+// about every other time.
+func (e *Engine) pop() eventKey {
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the callback and arg pointers to the GC
 	h = h[:n]
 	e.events = h
-	if n > 0 {
-		// Sift last down from the root.
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if eventLess(h[j], h[m]) {
-					m = j
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c+4 > n {
+			// Fewer than four children: the bottom of the path.
+			if c < n {
+				m := c
+				for j := c + 1; j < n; j++ {
+					if before(&h[j], &h[m]) != 0 {
+						m = j
+					}
+				}
+				if before(&h[m], &last) != 0 {
+					h[i] = h[m]
+					i = m
 				}
 			}
-			if !eventLess(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+			break
 		}
-		h[i] = last
+		// a and b are the winners of children 0-1 and 2-3, m the
+		// overall one; indexing the array with &3 needs no bounds check.
+		k := (*[4]eventKey)(h[c : c+4])
+		a := int(before(&k[1], &k[0]))
+		b := 2 + int(before(&k[3], &k[2]))
+		m := a ^ ((a ^ b) & -int(before(&k[b&3], &k[a&3])))
+		if before(&k[m&3], &last) == 0 {
+			break
+		}
+		h[i] = k[m&3]
+		i = c + m
 	}
+	h[i] = last
 	return top
 }
 
@@ -154,7 +187,16 @@ func (e *Engine) AtCall(t Time, call Callback, arg any) {
 		t = e.now
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, call: call, arg: arg})
+	var slot int
+	if n := len(e.free) - 1; n >= 0 {
+		slot = e.free[n]
+		e.free = e.free[:n]
+	} else {
+		slot = len(e.slots)
+		e.slots = append(e.slots, payload{})
+	}
+	e.slots[slot] = payload{call: call, arg: arg}
+	e.push(eventKey{at: t, seq: e.seq, slot: slot})
 }
 
 // AfterCall schedules call(arg) at d after the current time.
@@ -195,8 +237,12 @@ func (e *Engine) Step() bool {
 		tm.call(tm.arg)
 		return true
 	}
-	ev := e.pop()
-	ev.call(ev.arg)
+	slot := e.pop().slot
+	p := &e.slots[slot]
+	call, arg := p.call, p.arg
+	*p = payload{} // release the callback and arg to the GC
+	e.free = append(e.free, slot)
+	call(arg)
 	return true
 }
 

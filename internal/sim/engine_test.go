@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,14 @@ func TestEngineEventOrderProperty(t *testing.T) {
 	}
 }
 
+// refBefore is the plain branchy (at, seq) order the heap must match.
+func refBefore(a, b eventKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // TestEngineHeapAgainstReferenceSort drives the inlined 4-ary heap
 // directly through a long random push/pop interleaving and checks every
 // popped event against a reference minimum search / sort over a
@@ -196,19 +205,19 @@ func TestEngineEventOrderProperty(t *testing.T) {
 func TestEngineHeapAgainstReferenceSort(t *testing.T) {
 	rng := NewRNG(42)
 	e := NewEngine()
-	var mirror []event
+	var mirror []eventKey
 	var seq uint64
 	for op := 0; op < 20000; op++ {
 		if len(mirror) == 0 || rng.Uint64()%3 != 0 {
 			seq++
-			ev := event{at: Time(rng.Uint64() % 1024), seq: seq}
+			ev := eventKey{at: Time(rng.Uint64() % 1024), seq: seq}
 			e.push(ev)
 			mirror = append(mirror, ev)
 			continue
 		}
 		mi := 0
 		for i := range mirror {
-			if eventLess(mirror[i], mirror[mi]) {
+			if refBefore(mirror[i], mirror[mi]) {
 				mi = i
 			}
 		}
@@ -221,7 +230,7 @@ func TestEngineHeapAgainstReferenceSort(t *testing.T) {
 		}
 	}
 	// Drain the remainder against a full reference sort.
-	sort.Slice(mirror, func(i, j int) bool { return eventLess(mirror[i], mirror[j]) })
+	sort.Slice(mirror, func(i, j int) bool { return refBefore(mirror[i], mirror[j]) })
 	for i, want := range mirror {
 		got := e.pop()
 		if got.at != want.at || got.seq != want.seq {
@@ -231,5 +240,155 @@ func TestEngineHeapAgainstReferenceSort(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("heap not empty after drain: %d pending", e.Pending())
+	}
+}
+
+// refEntry is one pending entry in TestEventHeapMatchesReference's
+// reference model: its (at, seq) key and who fires (id >= 0: plain
+// event id; id < 0: timer -1-id).
+type refEntry struct {
+	key eventKey
+	id  int
+}
+
+// TestEventHeapMatchesReference runs random At/AtCall/Reschedule/
+// Cancel/Step interleavings, including ones issued from inside firing
+// callbacks, against a reference that keeps every pending entry in a
+// plain slice and fires the minimum by refBefore. Deadlines are drawn
+// with many exact and near ties, some in the past (clamped to now) and
+// some far out, up to math.MaxInt64>>1, so the 128-bit compare sees
+// both words decide. After every Step it checks the fired entry and
+// clock, the pending count, and the payload table: every pending
+// event holds one slot, and every free slot is zeroed so no fired
+// callback or arg stays reachable.
+func TestEventHeapMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		var ref []refEntry
+		var seq uint64
+		tms := make([]Timer, 8)
+		nextID := 0
+		var fired []int
+
+		draw := func() Time {
+			now := e.Now()
+			switch rng.Intn(16) {
+			case 0, 1, 2, 3, 4, 5:
+				return now
+			case 6, 7, 8:
+				return now.Add(Duration(rng.Intn(4)))
+			case 9, 10:
+				return now.Add(-Duration(rng.Intn(50) + 1))
+			case 11:
+				return Time(rng.Uint64() >> 2) // [0, math.MaxInt64>>1]
+			}
+			return now.Add(Duration(rng.Intn(1000)))
+		}
+		add := func(at Time, id int) {
+			if now := e.Now(); at < now {
+				at = now
+			}
+			seq++
+			ref = append(ref, refEntry{eventKey{at: at, seq: seq}, id})
+		}
+		drop := func(id int) {
+			for i := range ref {
+				if ref[i].id == id {
+					ref = append(ref[:i], ref[i+1:]...)
+					return
+				}
+			}
+		}
+		var op func(nested bool)
+		plainCB := func(arg any) {
+			fired = append(fired, arg.(int))
+			if rng.Intn(3) == 0 {
+				op(true)
+			}
+		}
+		timerCB := func(arg any) {
+			fired = append(fired, -1-arg.(int))
+			if rng.Intn(3) == 0 {
+				op(true)
+			}
+		}
+		op = func(nested bool) {
+			switch k := rng.Intn(4); {
+			case k == 0 || k == 1:
+				id := nextID
+				nextID++
+				at := draw()
+				add(at, id)
+				if k == 0 {
+					e.AtCall(at, plainCB, id)
+				} else {
+					e.At(at, func() { plainCB(id) })
+				}
+			case k == 2:
+				j := rng.Intn(len(tms))
+				at := draw()
+				drop(-1 - j)
+				add(at, -1-j)
+				e.Reschedule(&tms[j], at, timerCB, j)
+			default:
+				j := rng.Intn(len(tms))
+				drop(-1 - j)
+				e.Cancel(&tms[j])
+			}
+		}
+		step := func(where string) {
+			mi := 0
+			for i := range ref {
+				if refBefore(ref[i].key, ref[mi].key) {
+					mi = i
+				}
+			}
+			want := ref[mi]
+			ref = append(ref[:mi], ref[mi+1:]...)
+			if at, ok := e.PeekNext(); !ok || at != want.key.at {
+				t.Fatalf("seed %d %s: PeekNext = %d,%v, reference head at %d", seed, where, at, ok, want.key.at)
+			}
+			fired = fired[:0]
+			if !e.Step() {
+				t.Fatalf("seed %d %s: Step ran nothing with %d pending in the reference", seed, where, len(ref)+1)
+			}
+			if len(fired) == 0 || fired[0] != want.id || e.Now() != want.key.at {
+				t.Fatalf("seed %d %s: fired %v at %d, reference (id %d at %d seq %d)",
+					seed, where, fired, e.Now(), want.id, want.key.at, want.key.seq)
+			}
+			if e.Pending() != len(ref) {
+				t.Fatalf("seed %d %s: Pending = %d, reference %d", seed, where, e.Pending(), len(ref))
+			}
+			if live := len(e.slots) - len(e.free); live != len(e.events) {
+				t.Fatalf("seed %d %s: %d slots - %d free = %d, but %d events pending",
+					seed, where, len(e.slots), len(e.free), live, len(e.events))
+			}
+			for _, s := range e.free {
+				if p := e.slots[s]; p.call != nil || p.arg != nil {
+					t.Fatalf("seed %d %s: free slot %d still holds its payload", seed, where, s)
+				}
+			}
+		}
+
+		for n := 0; n < 20000; n++ {
+			// Alternate growing and shrinking phases so the heap runs
+			// both deep (full four-child levels) and nearly empty.
+			schedule := 7
+			if n/1000%2 == 1 {
+				schedule = 3
+			}
+			if len(ref) == 0 || rng.Intn(10) < schedule {
+				op(false)
+				continue
+			}
+			step("op " + strconv.Itoa(n))
+		}
+		for len(ref) > 0 {
+			step("drain")
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: %d pending after the reference drained", seed, e.Pending())
+		}
 	}
 }

@@ -71,7 +71,9 @@ func (e *Engine) adopt(tm *Timer) {
 	tm.eng = e
 }
 
-// timerLess orders timers by (at, seq), like eventLess.
+// timerLess orders timers by (at, seq), like the event heap. The
+// event heap's branchless borrow compare measured no faster here, so
+// the timer heap keeps plain branches.
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
