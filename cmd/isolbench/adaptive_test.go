@@ -18,10 +18,11 @@ import (
 
 // TestAdaptiveRuntimeInvariance pins the adaptive knob's determinism
 // contract at the CLI layer: the experiments that carry the sixth row
-// must render byte-identical reports across -workers and -shards.
-// Enabling the shaper forces observability on, which pins the runtime
-// to a single engine — so -shards must be a pure no-op, and the worker
-// pool may only reorder wall-clock work, never results.
+// must render byte-identical reports across -workers and -shards. The
+// shaper forces observability on, and observed fleets shard (one
+// observer and tracker per shard), so the -shards 4 runs must really
+// build sharded fleets and still match; the worker pool may only
+// reorder wall-clock work, never results.
 func TestAdaptiveRuntimeInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode sweeps are multi-second runs")
@@ -41,7 +42,12 @@ func TestAdaptiveRuntimeInvariance(t *testing.T) {
 			}
 			for _, tc := range []struct{ w, s int }{{8, 0}, {1, 4}, {8, 4}} {
 				*workersFlag, *shardsFlag = tc.w, tc.s
-				if got := runExp(t, exp); got != base {
+				before := core.ShardedFleets()
+				got := runExp(t, exp)
+				if sharded := core.ShardedFleets() - before; (sharded > 0) != (tc.s > 1) {
+					t.Fatalf("%s at -shards %d built %d sharded fleets", exp, tc.s, sharded)
+				}
+				if got != base {
 					t.Errorf("%s diverged at -workers %d -shards %d from -workers 1 -shards 0:\nbase:\n%s\ngot:\n%s",
 						exp, tc.w, tc.s, base, got)
 				}

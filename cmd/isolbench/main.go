@@ -69,7 +69,7 @@ var (
 	replayFlag  = flag.String("replay", "", "replay a JSONL trace under -knob instead of a canned experiment")
 
 	unitTimeoutFlag = flag.Duration("unit-timeout", 0, "wall-clock budget per simulation unit; an exceeded unit is aborted with a diagnostic, its siblings keep running (0 = none)")
-	shardsFlag      = flag.Int("shards", 0, "run each fleet on up to this many per-device engines advanced in conservative time windows (0/1 = single engine; output is byte-identical at any setting; observability modes fall back to one engine)")
+	shardsFlag      = flag.Int("shards", 0, "run each fleet on up to this many per-device engines advanced in conservative time windows (0/1 = single engine; output is byte-identical at any setting; observed runs keep each cgroup in one shard; -obs-cap falls back to one engine)")
 	paranoidFlag    = flag.Bool("paranoid", false, "verify conservation-law invariants (submitted vs completed, byte accounting, histogram counts) at the end of every unit")
 	resumeFlag      = flag.String("resume", "", "resume from a run manifest: units it records are folded in from cache instead of rerunning")
 	manifestFlag    = flag.String("manifest", "", `run manifest path for checkpoint/resume (default results/manifest-<run>.jsonl, "none" disables journaling)`)

@@ -145,10 +145,11 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Knob == KnobAdaptive {
 		// The adaptive shaper estimates from io.stat/io.pressure/SLO
-		// deltas, which only exist with the observer attached. This
-		// also pins adaptive runs to the single-engine runtime (the
-		// observer disables sharding), which is what makes the control
-		// loop byte-identical across -shards values.
+		// deltas, which only exist with the observer attached. In a
+		// sharded fleet each column's shaper reads its own shard's
+		// observer, which holds the complete state of every cgroup with
+		// traffic on that column (cgroups bind to one shard), so the
+		// control loop is byte-identical across -shards values.
 		o.Observe = true
 	}
 	if o.Control.Paranoid && o.Attr {

@@ -46,9 +46,11 @@ type RunControl struct {
 	// time windows so an N-device fleet uses up to N cores while staying
 	// byte-identical to the single-engine run (see DESIGN.md "Memory
 	// model & sharding"). The effective shard count is min(Shards,
-	// Devices); fleets that run with observability (Observe/Attr/SLO/
-	// Paranoid) fall back to the single engine, since the observer is
-	// single-engine state. 0 or 1 means the classic unsharded runtime.
+	// Devices). Observed fleets (Observe/Attr/SLO/Paranoid) shard too,
+	// with one observer and tracker per shard, unless a cgroup cap
+	// (ObsConfig.MaxCgroups, AttrConfig.MaxVictims) is set: those fold
+	// in fleet-wide order, so they fall back to the single engine. 0 or
+	// 1 means the classic unsharded runtime.
 	//
 	// Shards deliberately does NOT count toward armed(): it changes how
 	// the event stream executes, not whether a watchdog observes it.

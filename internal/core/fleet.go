@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"isolbench/internal/blk"
 	"isolbench/internal/cgroup"
@@ -90,10 +91,14 @@ type Fleet struct {
 	// and Queues.
 	Columns []*DeviceColumn
 
-	// Obs is the observability hub; nil unless Options.Observe.
+	// Obs is the observability hub; nil unless Options.Observe. In a
+	// sharded fleet it is a read-only merged view over the per-shard
+	// observers (obs.NewMerged) that also records the coordinator's
+	// incidents.
 	Obs *obs.Observer
 
-	// Attr is the wait-for-whom tracker; nil unless Options.Attr.
+	// Attr is the wait-for-whom tracker; nil unless Options.Attr. In a
+	// sharded fleet it is a read-only merged view, like Obs.
 	Attr *attr.Tracker
 
 	// Faults holds each device's injector when Options.Fault is
@@ -162,6 +167,8 @@ type Fleet struct {
 	// incidentNoted dedups the obs incident for a sticky engine error
 	// reported by several RunPhase/RunTo calls.
 	incidentNoted bool
+	// invariantChecks counts CheckInvariants calls.
+	invariantChecks int
 
 	// Sharded runtime state (Control.Shards > 1). Each device column is
 	// pinned to one shard engine; c.Eng stays the global engine, which
@@ -172,6 +179,15 @@ type Fleet struct {
 	colShard  []int  // device column -> shard index
 	coreShard []int  // CPU core -> owning shard (-1 until first use)
 	shardNote string // why a Shards request was clamped off ("" otherwise)
+
+	// Per-shard observation (observed sharded fleets): shard i's
+	// observer (with its SLO monitor) and tracker run on shard i's
+	// clock and see only shard i's columns. cgShard binds each cgroup
+	// that does I/O to one shard at its first app, replayer or tenant,
+	// so per-cgroup state never spans two shards.
+	shardObs  []*obs.Observer
+	shardAttr []*attr.Tracker
+	cgShard   map[int]int
 
 	// reqPools holds the per-engine request freelists injected into
 	// every app: index by shard when sharded, a single fleet-wide pool
@@ -206,17 +222,17 @@ func NewFleet(opts Options) (*Fleet, error) {
 	}
 	c.CPU = host.NewCPU(c.Eng, opts.Cores)
 	if opts.Control.Shards > 1 {
-		if opts.Observe {
-			// The observer (and everything that implies it: Attr, SLO,
-			// Paranoid) is single-engine state — its rings and counters
-			// are appended from every layer's hooks, which would race
-			// across shard goroutines.
-			c.shardNote = "sharding disabled: observability requires the single-engine runtime"
+		if (opts.Observe && opts.ObsConfig.MaxCgroups > 0) || (opts.Attr && opts.AttrConfig.MaxVictims > 0) {
+			// The cgroup caps fold cgroups beyond the bound in the
+			// order the whole fleet first sees them, which no shard
+			// can know.
+			c.shardNote = "sharding disabled: the observer/attribution cgroup caps fold in fleet-wide first-seen order"
 		} else {
 			n := opts.Control.Shards
 			if n > opts.Devices {
 				n = opts.Devices
 			}
+			shardedFleets.Add(1)
 			c.shardEngs = make([]*sim.Engine, n)
 			for i := range c.shardEngs {
 				c.shardEngs[i] = sim.NewEngine()
@@ -249,27 +265,31 @@ func NewFleet(opts Options) (*Fleet, error) {
 		}
 	}
 
-	if opts.Observe {
-		c.Obs = obs.NewWithConfig(c.Eng, opts.ObsConfig)
-		c.Obs.CgroupName = func(id int) string {
-			if g := c.Tree.ByID(id); g != nil {
-				return g.Path()
-			}
-			return ""
-		}
-		c.Tree.SetStatProvider(c.Obs)
-	}
-	if opts.Attr {
-		c.Attr = attr.NewTracker(c.Eng, opts.AttrConfig)
-		c.Obs.Attr = c.Attr
+	if opts.Observe && len(c.shardEngs) == 0 {
+		c.Obs, c.Attr = c.newObservation(c.Eng)
 		// Every CPU core gets an occupancy ledger so submission/reap
 		// queueing can be blamed on the cgroup holding the core.
+		// (Sharded fleets give a core its ledger when it binds.)
 		for _, core := range c.CPU.Cores {
 			core.SetLedger(c.Attr.NewLedger(attr.LayerCPU))
 		}
-	}
-	if opts.SLO.P99 > 0 {
+	} else if opts.Observe {
+		for _, se := range c.shardEngs {
+			o, t := c.newObservation(se)
+			c.shardObs = append(c.shardObs, o)
+			c.shardAttr = append(c.shardAttr, t)
+		}
+		c.cgShard = make(map[int]int)
+		c.Obs = obs.NewMerged(c.Eng, opts.ObsConfig, c.shardObs)
+		c.Obs.CgroupName = c.cgroupName
 		c.Obs.EnableSLO(opts.SLO)
+		if opts.Attr {
+			c.Attr = attr.NewMerged(c.shardAttr)
+			c.Obs.Attr = c.Attr
+		}
+	}
+	if c.Obs != nil {
+		c.Tree.SetStatProvider(c.Obs)
 	}
 
 	slice, err := c.Tree.Root().Create("isolbench.slice")
@@ -298,6 +318,40 @@ func NewFleet(opts Options) (*Fleet, error) {
 	return c, nil
 }
 
+// newObservation builds an observer (with the SLO monitor when one is
+// configured) and, when Options.Attr, its attribution tracker, both on
+// engine eng's clock.
+func (c *Fleet) newObservation(eng *sim.Engine) (*obs.Observer, *attr.Tracker) {
+	o := obs.NewWithConfig(eng, c.Opts.ObsConfig)
+	o.CgroupName = c.cgroupName
+	var t *attr.Tracker
+	if c.Opts.Attr {
+		t = attr.NewTracker(eng, c.Opts.AttrConfig)
+		o.Attr = t
+	}
+	o.EnableSLO(c.Opts.SLO)
+	return o, t
+}
+
+// cgroupName resolves a cgroup id to its path for observer exports.
+func (c *Fleet) cgroupName(id int) string {
+	if g := c.Tree.ByID(id); g != nil {
+		return g.Path()
+	}
+	return ""
+}
+
+// obsFor returns the observer and tracker device column i's hooks feed:
+// the column's shard's when the fleet is sharded, the fleet's own
+// otherwise.
+func (c *Fleet) obsFor(i int) (*obs.Observer, *attr.Tracker) {
+	if len(c.shardObs) == 0 {
+		return c.Obs, c.Attr
+	}
+	s := c.colShard[i]
+	return c.shardObs[s], c.shardAttr[s]
+}
+
 // configureIOCostRoot writes the root io.cost.model/io.cost.qos lines
 // for device i.
 func (c *Fleet) configureIOCostRoot(i int) error {
@@ -323,6 +377,7 @@ func (c *Fleet) addColumn(i int) error {
 	}
 	c.colShard = append(c.colShard, shard)
 	eng := c.EngFor(i)
+	ob, at := c.obsFor(i)
 	dev, err := device.New(eng, opts.Profile, opts.Seed*1000003+uint64(i)+1)
 	if err != nil {
 		return err
@@ -336,7 +391,7 @@ func (c *Fleet) addColumn(i int) error {
 	switch opts.Knob {
 	case KnobMQDeadline:
 		md := mqdeadline.New(eng, mqdeadline.DefaultConfig())
-		md.Obs = c.Obs
+		md.Obs = ob
 		sched = md
 	case KnobBFQ:
 		cfg := bfq.DefaultConfig()
@@ -345,24 +400,24 @@ func (c *Fleet) addColumn(i int) error {
 		}
 		cfg.LowLatency = opts.BFQLowLatency
 		bq := bfq.New(eng, cfg)
-		bq.Obs = c.Obs
+		bq.Obs = ob
 		sched = bq
 	case KnobIOMax:
 		sched = noop.New()
 		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = c.Obs
+		im.Obs = ob
 		ctl = im
 	case KnobIOLatency:
 		sched = noop.New()
 		il := iolatency.New(eng, c.Tree, DevName(i), opts.Profile.MaxQD)
-		il.Obs = c.Obs
+		il.Obs = ob
 		c.IOLat = append(c.IOLat, il)
 		col.IOLat = il
 		ctl = il
 	case KnobIOCost:
 		sched = noop.New()
 		ic := iocost.New(eng, c.Tree, DevName(i))
-		ic.Obs = c.Obs
+		ic.Obs = ob
 		c.IOCost = append(c.IOCost, ic)
 		col.IOCost = ic
 		ctl = ic
@@ -374,11 +429,11 @@ func (c *Fleet) addColumn(i int) error {
 		// configuration.
 		sched = noop.New()
 		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = c.Obs
+		im.Obs = ob
 		im.HoldLayer = attr.LayerShaper
 		ctl = im
 		sh := shaper.New(eng, c.Tree, DevName(i), opts.Shaper)
-		sh.Obs = c.Obs
+		sh.Obs = ob
 		for _, g := range c.Groups {
 			sh.Register(g)
 		}
@@ -387,15 +442,15 @@ func (c *Fleet) addColumn(i int) error {
 	default:
 		sched = noop.New()
 	}
-	if c.Obs != nil {
+	if ob != nil {
 		name := DevName(i)
 		dev.OnGC = func(active bool, debtBytes int64) {
 			on := 0.0
 			if active {
 				on = 1
 			}
-			c.Obs.Sample("dev.gc_active."+name, -1, on)
-			c.Obs.Sample("dev.gc_debt."+name, -1, float64(debtBytes))
+			ob.Sample("dev.gc_active."+name, -1, on)
+			ob.Sample("dev.gc_debt."+name, -1, float64(debtBytes))
 		}
 	}
 	if opts.Fault.Enabled() {
@@ -412,9 +467,9 @@ func (c *Fleet) addColumn(i int) error {
 	}
 	c.Devices = append(c.Devices, dev)
 	q := blk.NewQueue(eng, dev, sched, ctl)
-	q.SetObserver(c.Obs, DevName(i))
-	if c.Attr != nil {
-		q.SetAttribution(c.Attr)
+	q.SetObserver(ob, DevName(i))
+	if at != nil {
+		q.SetAttribution(at)
 		// Schedulers share the queue's dispatch-stream ledger so
 		// they can own intervals where nothing dispatches (BFQ
 		// idling, MQ-DL strict-priority recency blocks);
@@ -427,11 +482,11 @@ func (c *Fleet) addColumn(i int) error {
 		}
 		switch t := ctl.(type) {
 		case *iomax.Controller:
-			t.Attr = c.Attr
+			t.Attr = at
 		case *iolatency.Controller:
-			t.Attr = c.Attr
+			t.Attr = at
 		case *iocost.Controller:
-			t.Attr = c.Attr
+			t.Attr = at
 		}
 	}
 	retry := opts.Retry
@@ -484,6 +539,14 @@ func (c *Fleet) EngFor(i int) *sim.Engine {
 // single-engine runtime, >= 1 when the sharded runtime is active.
 func (c *Fleet) Shards() int { return len(c.shardEngs) }
 
+// shardedFleets counts the fleets built on the sharded runtime.
+var shardedFleets atomic.Int64
+
+// ShardedFleets reports how many fleets this process has built on the
+// sharded runtime, so a caller that only sees an experiment's output
+// can confirm that a -shards run really sharded.
+func ShardedFleets() int64 { return shardedFleets.Load() }
+
 // ShardNote reports why a Control.Shards request was clamped off (""
 // when sharding is active or was never requested).
 func (c *Fleet) ShardNote() string { return c.shardNote }
@@ -502,34 +565,12 @@ func (c *Fleet) NewGroup(name string) (*cgroup.Group, error) {
 }
 
 // AddApp creates an app bound to device dev and registers it. In a
-// sharded fleet the app runs on its device column's shard engine, and
-// its core is bound to that shard on first use — a core cannot serve
-// apps from two shards (their completion events would interleave
-// across engines), so such a placement is rejected.
+// sharded fleet the app runs on its device column's shard engine (see
+// bindShard for the core and cgroup rules).
 func (c *Fleet) AddApp(spec workload.Spec, dev int) (*workload.App, error) {
-	if dev < 0 || dev >= len(c.Queues) {
-		return nil, fmt.Errorf("core: device index %d out of range", dev)
-	}
-	pool := c.reqPools[0]
-	if len(c.shardEngs) > 0 {
-		shard := c.colShard[dev]
-		pool = c.reqPools[shard]
-		ci := spec.Core
-		if ci < 0 {
-			ci = -ci
-		}
-		ci %= len(c.CPU.Cores)
-		switch c.coreShard[ci] {
-		case -1:
-			c.CPU.Cores[ci].Rebind(c.shardEngs[shard])
-			c.coreShard[ci] = shard
-		case shard:
-			// already bound to this shard
-		default:
-			return nil, fmt.Errorf(
-				"core: app %q on device %d needs core %d in shard %d, but the core is bound to shard %d (run with -shards 1, or place shard-disjoint cores)",
-				spec.Name, dev, ci, shard, c.coreShard[ci])
-		}
+	pool, at, err := c.bindShard("app", spec.Name, dev, spec.Core, spec.Group)
+	if err != nil {
+		return nil, err
 	}
 	c.appSeq++
 	app, err := workload.NewApp(c.EngFor(dev), c.CPU, c.Opts.Costs, c.Queues[dev],
@@ -538,8 +579,8 @@ func (c *Fleet) AddApp(spec workload.Spec, dev int) (*workload.App, error) {
 		return nil, err
 	}
 	app.UsePool(pool)
-	if c.Attr != nil {
-		app.SetAttribution(c.Attr)
+	if at != nil {
+		app.SetAttribution(at)
 	}
 	c.Apps = append(c.Apps, app)
 	c.appDev = append(c.appDev, dev)
@@ -550,33 +591,11 @@ func (c *Fleet) AddApp(spec workload.Spec, dev int) (*workload.App, error) {
 }
 
 // AddReplay creates an open-loop trace replayer streaming from src
-// against device dev and registers it. Shard rules match AddApp: the
-// replayer runs on its device column's shard engine and binds its core
-// to that shard.
+// against device dev and registers it. Shard rules match AddApp.
 func (c *Fleet) AddReplay(src trace.Source, cfg workload.ReplayConfig, dev int) (*workload.ReplayApp, error) {
-	if dev < 0 || dev >= len(c.Queues) {
-		return nil, fmt.Errorf("core: device index %d out of range", dev)
-	}
-	pool := c.reqPools[0]
-	if len(c.shardEngs) > 0 {
-		shard := c.colShard[dev]
-		pool = c.reqPools[shard]
-		ci := cfg.Core
-		if ci < 0 {
-			ci = -ci
-		}
-		ci %= len(c.CPU.Cores)
-		switch c.coreShard[ci] {
-		case -1:
-			c.CPU.Cores[ci].Rebind(c.shardEngs[shard])
-			c.coreShard[ci] = shard
-		case shard:
-			// already bound to this shard
-		default:
-			return nil, fmt.Errorf(
-				"core: replay %q on device %d needs core %d in shard %d, but the core is bound to shard %d (run with -shards 1, or place shard-disjoint cores)",
-				cfg.Name, dev, ci, shard, c.coreShard[ci])
-		}
+	pool, _, err := c.bindShard("replay", cfg.Name, dev, cfg.Core, cfg.Group)
+	if err != nil {
+		return nil, err
 	}
 	app, err := workload.NewReplayApp(c.EngFor(dev), c.CPU, c.Opts.Costs, c.Queues[dev], src, cfg)
 	if err != nil {
@@ -586,6 +605,52 @@ func (c *Fleet) AddReplay(src trace.Source, cfg workload.ReplayConfig, dev int) 
 	c.Replays = append(c.Replays, app)
 	c.replayDev = append(c.replayDev, dev)
 	return app, nil
+}
+
+// bindShard checks and records the shard bindings an app or replayer
+// (kind, name) on device dev needs, and returns the request pool and
+// attribution tracker it must use. In a sharded fleet the core binds to
+// the device's shard on first use: a core cannot serve two shards
+// (their completion events would interleave across engines). In an
+// observed sharded fleet the cgroup binds the same way, so its
+// io.stat, PSI, SLO windows and blame rows are all kept by one shard.
+// A placement that breaks either binding is rejected, and nothing is
+// bound when it is.
+func (c *Fleet) bindShard(kind, name string, dev, core int, g *cgroup.Group) (*device.Pool, *attr.Tracker, error) {
+	if dev < 0 || dev >= len(c.Queues) {
+		return nil, nil, fmt.Errorf("core: device index %d out of range", dev)
+	}
+	_, at := c.obsFor(dev)
+	if len(c.shardEngs) == 0 {
+		return c.reqPools[0], at, nil
+	}
+	shard := c.colShard[dev]
+	if core < 0 {
+		core = -core
+	}
+	core %= len(c.CPU.Cores)
+	if s := c.coreShard[core]; s >= 0 && s != shard {
+		return nil, nil, fmt.Errorf(
+			"core: %s %q on device %d needs core %d in shard %d, but the core is bound to shard %d (run with -shards 1, or place shard-disjoint cores)",
+			kind, name, dev, core, shard, s)
+	}
+	if c.cgShard != nil && g != nil {
+		if s, ok := c.cgShard[g.ID()]; ok && s != shard {
+			return nil, nil, fmt.Errorf(
+				"core: %s %q on device %d puts cgroup %s in shard %d, but the cgroup is bound to shard %d (run with -shards 1, or keep each cgroup's devices in one shard)",
+				kind, name, dev, g.Path(), shard, s)
+		}
+		c.cgShard[g.ID()] = shard
+	}
+	if c.coreShard[core] < 0 {
+		cpu := c.CPU.Cores[core]
+		cpu.Rebind(c.shardEngs[shard])
+		// The core's occupancy ledger comes from its shard's tracker
+		// (nil when attribution is off).
+		cpu.SetLedger(at.NewLedger(attr.LayerCPU))
+		c.coreShard[core] = shard
+	}
+	return c.reqPools[shard], at, nil
 }
 
 // Start arms every app and replayer.

@@ -45,6 +45,7 @@ func (c *Cluster) obsBytesTotal() int64 {
 // end of RunPhase/RunTo in paranoid mode and is safe to call directly
 // from tests.
 func (c *Cluster) CheckInvariants() error {
+	c.invariantChecks++
 	var v []string
 
 	// Churn teardown failures recorded by RemoveTenant are invariant

@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"isolbench/internal/blk"
 	"isolbench/internal/fault"
+	"isolbench/internal/obs"
+	"isolbench/internal/obs/attr"
+	"isolbench/internal/shaper"
 	"isolbench/internal/sim"
 	"isolbench/internal/workload"
 )
@@ -190,33 +194,194 @@ func TestShardedChurnIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedObserveFallsBack pins the clamp: observability is
-// single-engine state, so an observed fleet must silently fall back
-// and say why.
-func TestShardedObserveFallsBack(t *testing.T) {
+// observedRun is everything TestShardedObserveIdentity compares
+// between the single-engine and the sharded run of one cell.
+type observedRun struct {
+	Result       Result
+	Files        []string // io.stat and io.pressure of every group
+	Spans        []obs.Span
+	SpansDropped uint64
+	Blame        []attr.Cell
+	Incidents    []obs.Incident
+	Shapers      []shaper.State
+}
+
+// runObserved runs a 2-device fleet with observe, attr, SLO and
+// paranoid on: per device, a protected QD1 reader (io.weight 400) and
+// a QD32 neighbour (io.weight 100) on their own cores, with a
+// compressed gcstorm when fp is enabled so storms land in the window.
+func runObserved(t *testing.T, knob Knob, fp fault.Profile, shards int) (observedRun, *Fleet) {
+	t.Helper()
 	cl, err := NewFleet(Options{
-		Knob: KnobIOCost, Devices: 2, Observe: true,
+		Knob: knob, Devices: 2, Cores: 4, Seed: 3, Fault: fp, Attr: true,
+		SLO:     obs.SLOConfig{P99: 150 * sim.Microsecond, FastWindow: 10 * sim.Millisecond, SlowWindow: 40 * sim.Millisecond},
+		Control: RunControl{Paranoid: true, Shards: shards},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 2; d++ {
+		for j, weight := range []string{"400", "100"} {
+			g, err := cl.NewGroup(fmt.Sprintf("g%d-%d", d, j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.SetFile("io.weight", weight); err != nil {
+				t.Fatal(err)
+			}
+			spec := workload.LCApp(g.Name(), g)
+			if j == 1 {
+				spec.QD = 32
+			}
+			spec.Core = d + 2*j
+			if _, err := cl.AddApp(spec, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cl.RunPhase(20*sim.Millisecond, 130*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	run := observedRun{
+		Result:       cl.Result(),
+		Spans:        cl.Obs.Spans(),
+		SpansDropped: cl.Obs.SpansDropped(),
+		Blame:        cl.Attr.Cells(),
+		Incidents:    cl.Obs.Incidents(),
+	}
+	for _, g := range cl.Groups {
+		for _, f := range []string{"io.stat", "io.pressure"} {
+			body, err := g.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Files = append(run.Files, g.Name()+"/"+f+"\n"+body)
+		}
+	}
+	for _, sh := range cl.Shapers {
+		run.Shapers = append(run.Shapers, sh.State())
+	}
+	return run, cl
+}
+
+// TestShardedObserveIdentity is the shard-local observation contract:
+// an observed, attributed, SLO-monitored, paranoid fleet runs on the
+// sharded runtime, and everything read through the merged view equals
+// the single-engine run. The paranoid suite runs at every window end
+// on the sharded path too.
+func TestShardedObserveIdentity(t *testing.T) {
+	storm := fault.GCStormProfile()
+	storm.StormEvery, storm.StormFor = 60*sim.Millisecond, 25*sim.Millisecond
+	storm.BrownoutEvery, storm.BrownoutFor = 90*sim.Millisecond, 20*sim.Millisecond
+	for _, k := range []Knob{KnobIOCost, KnobAdaptive} {
+		for _, fp := range []fault.Profile{{}, storm} {
+			name := k.String() + "/healthy"
+			if fp.Enabled() {
+				name = k.String() + "/" + fp.Name
+			}
+			k, fp := k, fp
+			t.Run(name, func(t *testing.T) {
+				single, scl := runObserved(t, k, fp, 0)
+				sharded, pcl := runObserved(t, k, fp, 2)
+				if scl.Shards() != 0 || pcl.Shards() != 2 {
+					t.Fatalf("shards = %d and %d, want 0 and 2 (%s)", scl.Shards(), pcl.Shards(), pcl.ShardNote())
+				}
+				if pcl.invariantChecks == 0 {
+					t.Fatal("the paranoid suite never ran on the sharded fleet")
+				}
+				if len(single.Spans) == 0 || len(single.Blame) == 0 {
+					t.Fatalf("nothing observed: %d spans, %d blame cells", len(single.Spans), len(single.Blame))
+				}
+				if k == KnobAdaptive && len(single.Shapers) != 2 {
+					t.Fatalf("%d shapers, want 2", len(single.Shapers))
+				}
+				v1, v2 := reflect.ValueOf(single), reflect.ValueOf(sharded)
+				for i := 0; i < v1.NumField(); i++ {
+					if !reflect.DeepEqual(v1.Field(i).Interface(), v2.Field(i).Interface()) {
+						t.Errorf("%s diverges:\nsingle  %+v\nsharded %+v", v1.Type().Field(i).Name,
+							v1.Field(i).Interface(), v2.Field(i).Interface())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShardedCgroupConflict pins the observed placement contract: in
+// an observed sharded fleet a cgroup's I/O must stay in one shard, so
+// one cgroup on devices of two shards is rejected, and the rejected
+// placement binds nothing.
+func TestShardedCgroupConflict(t *testing.T) {
+	cl, err := NewFleet(Options{
+		Knob: KnobIOCost, Devices: 2, Cores: 4, Seed: 1, Observe: true,
 		Control: RunControl{Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Shards() != 0 {
-		t.Fatalf("observed fleet sharded (%d engines)", cl.Shards())
-	}
-	if cl.ShardNote() == "" {
-		t.Fatal("clamped fleet should explain itself via ShardNote")
-	}
-	// Paranoid implies Observe through withDefaults; same clamp.
-	cl, err = NewFleet(Options{
-		Knob: KnobIOCost, Devices: 2,
-		Control: RunControl{Shards: 2, Paranoid: true},
-	})
+	g, err := cl.NewGroup("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Shards() != 0 {
-		t.Fatal("paranoid fleet must fall back to the single engine")
+	a := workload.LCApp("a", g)
+	a.Core = 0
+	if _, err := cl.AddApp(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := workload.LCApp("b", g)
+	b.Core = 1
+	_, err = cl.AddApp(b, 1)
+	if err == nil {
+		t.Fatal("cgroup t doing I/O on devices 0 and 1 across shards should be rejected")
+	}
+	if !strings.Contains(err.Error(), "bound to shard") || !strings.Contains(err.Error(), "/isolbench.slice/t") {
+		t.Fatalf("conflict error should name the cgroup and the shards: %v", err)
+	}
+	// The failed placement left core 1 unbound: another cgroup on
+	// device 1 may still take it.
+	h, err := cl.NewGroup("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := workload.LCApp("c", h)
+	c2.Core = 1
+	if _, err := cl.AddApp(c2, 1); err != nil {
+		t.Fatalf("core 1 stayed bound after a rejected placement: %v", err)
+	}
+	// Unobserved fleets keep per-cgroup state nowhere, so they do not
+	// bind cgroups.
+	cl, err = NewFleet(Options{Knob: KnobIOCost, Devices: 2, Cores: 4, Control: RunControl{Shards: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = cl.NewGroup("t"); err != nil {
+		t.Fatal(err)
+	}
+	for dev := 0; dev < 2; dev++ {
+		a := workload.LCApp(fmt.Sprint("a", dev), g)
+		a.Core = dev
+		if _, err := cl.AddApp(a, dev); err != nil {
+			t.Fatalf("unobserved fleet rejected a cgroup spanning shards: %v", err)
+		}
+	}
+}
+
+// TestShardedObserveCapFallsBack pins the one remaining fallback: the
+// observer's and the tracker's cgroup caps fold in fleet-wide order,
+// so a capped fleet runs on the single engine and says why.
+func TestShardedObserveCapFallsBack(t *testing.T) {
+	for _, opts := range []Options{
+		{Observe: true, ObsConfig: obs.Config{MaxCgroups: 4}},
+		{Attr: true, AttrConfig: attr.Config{MaxVictims: 4}},
+	} {
+		opts.Knob, opts.Devices, opts.Control = KnobIOCost, 2, RunControl{Shards: 2}
+		cl, err := NewFleet(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.Shards() != 0 || !strings.Contains(cl.ShardNote(), "cgroup caps") {
+			t.Fatalf("capped fleet: %d shards, note %q", cl.Shards(), cl.ShardNote())
+		}
 	}
 }
 

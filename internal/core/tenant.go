@@ -173,12 +173,11 @@ func (c *Fleet) Removals() int { return c.removals }
 // triggered by a barrier event) it runs in place.
 func (c *Fleet) finishRemove(t *Tenant, done func(error)) {
 	c.Queues[t.Device].DetachGroup(t.Group.ID())
-	// The shapers' per-group memory (signal snapshots, applied caps,
-	// controller targets) is single-engine state like the observer, so
-	// dropping it here is safe — adaptive fleets never shard.
-	for _, sh := range c.Shapers {
-		sh.Forget(t.Group.ID())
-	}
+	// The shapers of the tenant's shard drop its per-group memory
+	// (signal snapshots, applied caps, controller targets) now, with the
+	// rest of its shard-local state; other shards' shapers never saw its
+	// traffic and forget it at the barrier.
+	c.forgetShaped(t, true)
 	if c.winActive {
 		at := c.EngFor(t.Device).Now()
 		c.retireMu.Lock()
@@ -187,6 +186,16 @@ func (c *Fleet) finishRemove(t *Tenant, done func(error)) {
 		return
 	}
 	c.finishRemoveGlobal(t, done)
+}
+
+// forgetShaped drops the removed tenant's group from the shapers of
+// the tenant's shard (own) or of every other shard (!own).
+func (c *Fleet) forgetShaped(t *Tenant, own bool) {
+	for i, sh := range c.Shapers {
+		if (c.colShard[i] == c.colShard[t.Device]) == own {
+			sh.Forget(t.Group.ID())
+		}
+	}
 }
 
 // finishRemoveGlobal is the fleet-global half of tenant teardown. It
@@ -223,6 +232,8 @@ func (c *Fleet) finishRemoveGlobal(t *Tenant, done func(error)) {
 
 	// Scheduler/controller state was already detached at drain time
 	// (finishRemove); here the cgroup itself goes away.
+	c.forgetShaped(t, false)
+	delete(c.cgShard, t.Group.ID())
 	err := t.Group.Remove()
 	if err != nil {
 		c.churnViolations = append(c.churnViolations,

@@ -133,17 +133,6 @@ func (b *ReqBlame) Charges() []Charge {
 	return b.charges
 }
 
-// Snapshot returns a copy of the charge list, for spans that outlive
-// the request.
-func (b *ReqBlame) Snapshot() []Charge {
-	if b == nil || len(b.charges) == 0 {
-		return nil
-	}
-	out := make([]Charge, len(b.charges))
-	copy(out, b.charges)
-	return out
-}
-
 // add merges d into the (layer, aggr) charge. The per-request list is
 // short (layers × distinct aggressors seen on this request's path), so
 // a linear scan beats a map.
@@ -224,6 +213,10 @@ type Tracker struct {
 	free       []*ReqBlame
 	finished   uint64
 	violations []string
+
+	// parts, when set, makes this tracker a read-only merged view over
+	// per-shard trackers (NewMerged).
+	parts []*Tracker
 }
 
 // NewTracker returns an enabled tracker on the given engine.
@@ -233,6 +226,24 @@ func NewTracker(eng *sim.Engine, cfg Config) *Tracker {
 		cfg:     cfg.withDefaults(),
 		victims: make(map[int]*victimState),
 	}
+}
+
+// NewMerged returns a read-only view over per-shard trackers. The
+// fleet binds each cgroup to one shard, so every victim row lives in
+// exactly one part: victim reads route to that part, the matrix is the
+// union of the parts' rows, and the finished and folded counts are
+// summed. Reads are safe only while no shard runs.
+func NewMerged(parts []*Tracker) *Tracker { return &Tracker{parts: parts} }
+
+// owner returns the tracker holding victim's row: t itself, or for a
+// merged view the part that finished the victim's requests.
+func (t *Tracker) owner(victim int) *Tracker {
+	for _, p := range t.parts {
+		if _, ok := p.victims[victim]; ok {
+			return p
+		}
+	}
+	return t
 }
 
 // LedgerCap returns the configured per-ledger segment capacity.
@@ -419,7 +430,11 @@ func (t *Tracker) FoldedVictims() int {
 	if t == nil {
 		return 0
 	}
-	return t.foldedV
+	n := t.foldedV
+	for _, p := range t.parts {
+		n += p.foldedV
+	}
+	return n
 }
 
 // Finished returns how many blame records were folded into the matrix.
@@ -427,7 +442,11 @@ func (t *Tracker) Finished() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.finished
+	n := t.finished
+	for _, p := range t.parts {
+		n += p.finished
+	}
+	return n
 }
 
 // Violations returns the strict-mode conservation failures recorded so
@@ -436,7 +455,14 @@ func (t *Tracker) Violations() []string {
 	if t == nil {
 		return nil
 	}
-	return t.violations
+	if t.parts == nil {
+		return t.violations
+	}
+	var out []string
+	for _, p := range t.parts {
+		out = append(out, p.violations...)
+	}
+	return out
 }
 
 // Victims returns the victim cgroup ids in sorted order.
@@ -446,6 +472,9 @@ func (t *Tracker) Victims() []int {
 	}
 	out := make([]int, len(t.order))
 	copy(out, t.order)
+	for _, p := range t.parts {
+		out = append(out, p.order...)
+	}
 	sort.Ints(out)
 	return out
 }
@@ -455,7 +484,7 @@ func (t *Tracker) VictimTotal(victim int) sim.Duration {
 	if t == nil {
 		return 0
 	}
-	v := t.victims[victim]
+	v := t.owner(victim).victims[victim]
 	if v == nil {
 		return 0
 	}
@@ -471,7 +500,7 @@ func (t *Tracker) Cells() []Cell {
 	}
 	var out []Cell
 	for _, vid := range t.Victims() {
-		v := t.victims[vid]
+		v := t.owner(vid).victims[vid]
 		aggs := make([]int, len(v.aggOrder))
 		copy(aggs, v.aggOrder)
 		sort.Ints(aggs)
@@ -493,7 +522,7 @@ func (t *Tracker) TopCell(victim int) (c Cell, share float64, ok bool) {
 	if t == nil {
 		return Cell{}, 0, false
 	}
-	v := t.victims[victim]
+	v := t.owner(victim).victims[victim]
 	if v == nil || v.total <= 0 {
 		return Cell{}, 0, false
 	}
@@ -520,7 +549,7 @@ func (t *Tracker) TopLayer(victim int) (l Layer, share float64, ok bool) {
 	if t == nil {
 		return 0, 0, false
 	}
-	v := t.victims[victim]
+	v := t.owner(victim).victims[victim]
 	if v == nil || v.total <= 0 {
 		return 0, 0, false
 	}

@@ -116,7 +116,7 @@ func (o *Observer) WriteSpansJSONL(w io.Writer) error {
 			}
 		}
 	}
-	for _, in := range o.incidents {
+	for _, in := range o.Incidents() {
 		if err := enc.Encode(IncidentJSON{Incident: in.Kind, Detail: in.Detail, At: in.At}); err != nil {
 			return err
 		}

@@ -73,10 +73,7 @@ type Observer struct {
 	// SLO incidents. The observer never writes to it.
 	Attr *attr.Tracker
 
-	spans       []Span // ring
-	spanHead    int    // index of the oldest span
-	spanCount   int
-	spanDropped uint64
+	spans spanRing
 
 	groups map[int]*groupState   // per-cgroup accounting
 	fold   map[int]int           // cgroup id -> canonical id under MaxCgroups
@@ -90,6 +87,11 @@ type Observer struct {
 	incidents []Incident // run-level aborts and invariant violations
 
 	slo *sloMonitor // burn-rate SLO monitor (nil = off)
+
+	// parts, when set, makes this observer a read-only merged view over
+	// per-shard observers (NewMerged); its own state then holds only
+	// the coordinator's incidents.
+	parts []*Observer
 }
 
 // Incident kinds recorded by the resilience layer.
@@ -129,6 +131,7 @@ func NewWithConfig(eng *sim.Engine, cfg Config) *Observer {
 	return &Observer{
 		cfg:    cfg,
 		eng:    eng,
+		spans:  spanRing{cap: cfg.SpanCap},
 		groups: make(map[int]*groupState),
 		series: make(map[seriesKey]*Series),
 		devs:   make(map[string]struct{}),
@@ -193,7 +196,11 @@ func (o *Observer) FoldedCgroups() int {
 	if o == nil {
 		return 0
 	}
-	return o.folded
+	n := o.folded
+	for _, p := range o.parts {
+		n += p.folded
+	}
+	return n
 }
 
 func (o *Observer) groupFor(id int) *groupState {
@@ -282,7 +289,8 @@ func (o *Observer) Completed(dev string, r *device.Request) {
 		// is retry budget, not service time), but keep its span so the
 		// failure is visible in traces.
 		st.Errors++
-		o.pushSpan(SpanOf(r))
+		stages := stagesOf(r)
+		o.spans.push(r, o.eng.Now(), &stages)
 		return
 	}
 	if r.Op == device.Write {
@@ -292,12 +300,12 @@ func (o *Observer) Completed(dev string, r *device.Request) {
 		st.RBytes += r.Size
 		st.RIOs++
 	}
-	sp := SpanOf(r)
+	stages := stagesOf(r)
 	for i := 0; i < int(NumStages); i++ {
-		g.hists[i].Record(int64(sp.Stages[i]))
+		g.hists[i].Record(int64(stages[i]))
 	}
 	g.e2e.Record(int64(r.Latency()))
-	o.pushSpan(sp)
+	o.spans.push(r, o.eng.Now(), &stages)
 	if o.slo != nil {
 		o.observeSLO(r.Cgroup, r.Latency())
 	}
@@ -358,50 +366,69 @@ func (o *Observer) RecordIncident(kind, detail string) {
 	o.incidents = append(o.incidents, Incident{Kind: kind, Detail: detail, At: o.eng.Now()})
 }
 
-// Incidents returns the recorded run-level incidents in order.
+// Incidents returns the recorded run-level incidents in order. A
+// merged view orders them by (time, shard), the coordinator's own
+// after the shards' at the same instant.
 func (o *Observer) Incidents() []Incident {
 	if o == nil {
 		return nil
+	}
+	if o.parts != nil {
+		return o.mergedIncidents()
 	}
 	return o.incidents
 }
 
 // --- spans --------------------------------------------------------------
 
-func (o *Observer) pushSpan(sp Span) {
-	if o.spanCount < o.cfg.SpanCap {
-		if len(o.spans) < o.cfg.SpanCap {
-			o.spans = append(o.spans, sp)
-		} else {
-			o.spans[(o.spanHead+o.spanCount)%o.cfg.SpanCap] = sp
-		}
-		o.spanCount++
-		return
-	}
-	// Full: overwrite the oldest (keep the latest window) and count it.
-	o.spans[o.spanHead] = sp
-	o.spanHead = (o.spanHead + 1) % o.cfg.SpanCap
-	o.spanDropped++
-}
-
-// Spans returns the retained spans in completion order.
+// Spans returns the newest SpanCap spans in completion order; spans
+// that completed at the same instant are ordered by cgroup, then by
+// recording order. Neither the order nor the choice of spans depends
+// on how the fleet was sharded: a cgroup's spans are all recorded by
+// one engine, in the same order as on the single engine.
 func (o *Observer) Spans() []Span {
-	if o == nil || o.spanCount == 0 {
+	if o == nil {
 		return nil
 	}
-	out := make([]Span, 0, o.spanCount)
-	for i := 0; i < o.spanCount; i++ {
-		out = append(out, o.spans[(o.spanHead+i)%len(o.spans)])
+	var ts []timedSpan
+	if o.parts == nil {
+		ts = o.spans.appendTo(make([]timedSpan, 0, o.spans.n))
+	} else {
+		for _, p := range o.parts {
+			ts = p.spans.appendTo(ts)
+		}
+	}
+	if len(ts) == 0 {
+		return nil
+	}
+	sort.SliceStable(ts, func(i, j int) bool {
+		if ts[i].at != ts[j].at {
+			return ts[i].at < ts[j].at
+		}
+		return ts[i].sp.Cgroup < ts[j].sp.Cgroup
+	})
+	if n := len(ts) - o.cfg.SpanCap; n > 0 {
+		ts = ts[n:]
+	}
+	out := make([]Span, len(ts))
+	for i := range ts {
+		out[i] = ts[i].sp
 	}
 	return out
 }
 
-// SpansDropped reports how many spans were evicted from the ring.
+// SpansDropped reports how many recorded spans Spans no longer
+// returns: those older than the newest SpanCap, across every shard for
+// a merged view.
 func (o *Observer) SpansDropped() uint64 {
 	if o == nil {
 		return 0
 	}
-	return o.spanDropped
+	pushed := o.spans.pushed
+	for _, p := range o.parts {
+		pushed += p.spans.pushed
+	}
+	return pushed - min(pushed, uint64(o.cfg.SpanCap))
 }
 
 // SeriesDropped reports the total points evicted across every series.
@@ -410,6 +437,12 @@ func (o *Observer) SeriesDropped() uint64 {
 		return 0
 	}
 	var n uint64
+	if o.parts != nil {
+		for _, s := range o.AllSeries() {
+			n += s.dropped
+		}
+		return n
+	}
 	for _, s := range o.series {
 		n += s.dropped
 	}
@@ -424,7 +457,7 @@ func (o *Observer) NoteTelemetryDrops(traceDropped uint64) {
 	if o == nil {
 		return
 	}
-	spans, series := o.spanDropped, o.SeriesDropped()
+	spans, series := o.SpansDropped(), o.SeriesDropped()
 	if spans == 0 && series == 0 && traceDropped == 0 {
 		return
 	}
@@ -442,6 +475,11 @@ func (o *Observer) Cgroups() []int {
 	for id := range o.groups {
 		ids = append(ids, id)
 	}
+	for _, p := range o.parts {
+		for id := range p.groups {
+			ids = append(ids, id)
+		}
+	}
 	sort.Ints(ids)
 	return ids
 }
@@ -450,6 +488,9 @@ func (o *Observer) Cgroups() []int {
 func (o *Observer) Devices() []string {
 	if o == nil {
 		return nil
+	}
+	if o.parts != nil {
+		return o.mergedDevices()
 	}
 	return o.devsO
 }
@@ -476,6 +517,7 @@ func (o *Observer) StatFile(cg int) (string, bool) {
 	if o == nil {
 		return "", false
 	}
+	o = o.owner(cg)
 	g, ok := o.groups[cg]
 	if !ok {
 		return "", false
@@ -521,6 +563,7 @@ func (o *Observer) Stat(cg int, dev string) (IOStat, bool) {
 	if o == nil {
 		return IOStat{}, false
 	}
+	o = o.owner(cg)
 	g, ok := o.groups[cg]
 	if !ok {
 		return IOStat{}, false
@@ -539,6 +582,7 @@ func (o *Observer) PressureFile(cg int) (string, bool) {
 	if o == nil {
 		return "", false
 	}
+	o = o.owner(cg)
 	g, ok := o.groups[cg]
 	if !ok {
 		return "", false
@@ -553,6 +597,7 @@ func (o *Observer) PSISnapshot(cg int) (PSI, bool) {
 	if o == nil {
 		return PSI{}, false
 	}
+	o = o.owner(cg)
 	g, ok := o.groups[cg]
 	if !ok {
 		return PSI{}, false
@@ -567,6 +612,7 @@ func (o *Observer) StageHistogram(cg int, st Stage) *metrics.Histogram {
 	if o == nil {
 		return nil
 	}
+	o = o.owner(cg)
 	g, ok := o.groups[cg]
 	if !ok {
 		return nil
@@ -596,7 +642,7 @@ func (o *Observer) Summary() []StageSummary {
 	}
 	var out []StageSummary
 	for _, id := range o.Cgroups() {
-		g := o.groups[id]
+		g := o.owner(id).groups[id]
 		if g.e2e.Count() == 0 {
 			continue
 		}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"isolbench/internal/device"
+	"isolbench/internal/obs/attr"
 	"isolbench/internal/sim"
 )
 
@@ -384,5 +387,36 @@ func TestIncidentExport(t *testing.T) {
 	}
 	if ij.Incident != IncidentWatchdog || ij.At != sim.Time(5) {
 		t.Fatalf("incident JSON = %+v", ij)
+	}
+}
+
+// TestSpanRingCompactRecords pins the ring's memory layout (a 64-byte
+// record, a 12-byte charge) and that values too large for it survive
+// exactly: a span with a 5 s stage and a 5 s blame charge reads back
+// unchanged, and its exact values are released when it is evicted.
+func TestSpanRingCompactRecords(t *testing.T) {
+	if rs, cs := unsafe.Sizeof(spanRec{}), unsafe.Sizeof(charge{}); rs != 64 || cs != 12 {
+		t.Fatalf("span record %d bytes, charge %d bytes; want 64 and 12", rs, cs)
+	}
+	eng := sim.NewEngine()
+	o := NewWithConfig(eng, Config{SpanCap: 2})
+	tr := attr.NewTracker(eng, attr.Config{})
+	long := 5 * sim.Second
+	r := &device.Request{ID: 1, Cgroup: 2, Op: device.Write, Size: 1 << 20,
+		Queued: sim.Time(long), Complete: sim.Time(long + sim.Millisecond), Blame: tr.NewReq()}
+	tr.ChargeInterval(r.Blame, attr.LayerThrottle, 3, long)
+	eng.RunUntil(r.Complete)
+	o.Completed("259:0", r)
+	want := SpanOf(r)
+	if got := o.Spans(); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("wide span read back as %+v, want %+v", got, want)
+	}
+	for i := 2; i <= 3; i++ {
+		at := r.Complete.Add(sim.Duration(i) * sim.Microsecond)
+		eng.RunUntil(at)
+		o.Completed("259:0", &device.Request{ID: uint64(i), Cgroup: 2, Size: 4096, Submit: at - 100, Complete: at})
+	}
+	if got := o.Spans(); len(got) != 2 || got[0].ID != 2 || len(o.spans.wide) != 0 || o.spans.aLen != 0 {
+		t.Fatalf("after eviction: spans %+v, %d wide entries, %d arena charges", got, len(o.spans.wide), o.spans.aLen)
 	}
 }

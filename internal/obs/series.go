@@ -91,7 +91,16 @@ func (o *Observer) Series(name string, cg int) *Series {
 	if o == nil {
 		return nil
 	}
-	return o.series[seriesKey{name: name, cg: cg}]
+	return o.lookupSeries(seriesKey{name: name, cg: cg})
+}
+
+// lookupSeries returns the series for k, merged across the parts for
+// a merged view.
+func (o *Observer) lookupSeries(k seriesKey) *Series {
+	if o.parts != nil {
+		return o.mergedSeries(k)
+	}
+	return o.series[k]
 }
 
 // AllSeries returns every series sorted by (name, cgroup) so exports
@@ -101,8 +110,10 @@ func (o *Observer) AllSeries() []*Series {
 	if o == nil {
 		return nil
 	}
-	keys := make([]seriesKey, len(o.order))
-	copy(keys, o.order)
+	keys := append([]seriesKey(nil), o.order...)
+	if o.parts != nil {
+		keys = o.mergedSeriesKeys()
+	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].name != keys[j].name {
 			return keys[i].name < keys[j].name
@@ -111,7 +122,7 @@ func (o *Observer) AllSeries() []*Series {
 	})
 	out := make([]*Series, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, o.series[k])
+		out = append(out, o.lookupSeries(k))
 	}
 	return out
 }

@@ -140,7 +140,10 @@ func (o *Observer) SLO() (SLOConfig, bool) {
 // SLOBurn exposes a cgroup's current windowed burn rates and firing
 // state (tests and summaries).
 func (o *Observer) SLOBurn(cg int) (fast, slow float64, firing bool) {
-	if o == nil || o.slo == nil {
+	if o == nil {
+		return 0, 0, false
+	}
+	if o = o.owner(cg); o.slo == nil {
 		return 0, 0, false
 	}
 	g, ok := o.slo.groups[cg]
@@ -155,7 +158,10 @@ func (o *Observer) SLOBurn(cg int) (fast, slow float64, firing bool) {
 // Hysteresis makes this an episode count, so deltas between two reads
 // count the episodes that started in between.
 func (o *Observer) SLOFired(cg int) int {
-	if o == nil || o.slo == nil {
+	if o == nil {
+		return 0
+	}
+	if o = o.owner(cg); o.slo == nil {
 		return 0
 	}
 	g, ok := o.slo.groups[cg]
