@@ -17,7 +17,7 @@ func hostCosts() host.Costs { return host.DefaultCosts() }
 
 // runSaturating drives the standard saturating workload (2 groups x 4
 // batch-apps) for a short window and returns aggregate bandwidth.
-func runSaturating(b *testing.B, cl *core.Cluster) float64 {
+func runSaturating(b *testing.B, cl *core.Fleet) float64 {
 	b.Helper()
 	for gi := 0; gi < 2; gi++ {
 		g, err := cl.NewGroup(fmt.Sprintf("t%d", gi))
@@ -39,7 +39,7 @@ func runSaturating(b *testing.B, cl *core.Cluster) float64 {
 // runMixedRW drives one read group and one write group (4 batch apps
 // each) against a preconditioned device and returns aggregate
 // bandwidth — the Fig. 6b interference workload.
-func runMixedRW(b *testing.B, cl *core.Cluster) float64 {
+func runMixedRW(b *testing.B, cl *core.Fleet) float64 {
 	b.Helper()
 	for gi := 0; gi < 2; gi++ {
 		g, err := cl.NewGroup(fmt.Sprintf("rw%d", gi))
@@ -65,7 +65,7 @@ func runMixedRW(b *testing.B, cl *core.Cluster) float64 {
 // random reads, QD8, 1.5 GiB/s cap each) in separate groups and
 // returns aggregate bandwidth. The submission gaps make scheduler
 // idling behaviour visible.
-func runRateLimited(b *testing.B, cl *core.Cluster) float64 {
+func runRateLimited(b *testing.B, cl *core.Fleet) float64 {
 	b.Helper()
 	for i := 0; i < 3; i++ {
 		g, err := cl.NewGroup(fmt.Sprintf("rl%d", i))

@@ -285,7 +285,7 @@ func BenchmarkAblationSliceIdle(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
-				cl, err := core.NewCluster(core.Options{
+				cl, err := core.NewFleet(core.Options{
 					Knob: core.KnobBFQ, BFQSliceIdleOff: off, Seed: uint64(i + 1), Cores: 10,
 				})
 				if err != nil {
@@ -311,7 +311,7 @@ func BenchmarkAblationIocostQoS(b *testing.B) {
 		b.Run(qos.name, func(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
-				cl, err := core.NewCluster(core.Options{
+				cl, err := core.NewFleet(core.Options{
 					Knob: core.KnobIOCost, IOCostQoS: qos.cfg, Seed: uint64(i + 1), Cores: 10,
 				})
 				if err != nil {
@@ -340,7 +340,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 				costs.MaxBatch = batch
 				// Two cores make the submission path the bottleneck,
 				// which is where batching matters.
-				cl, err := core.NewCluster(core.Options{
+				cl, err := core.NewFleet(core.Options{
 					Knob: core.KnobNone, Costs: costs, Seed: uint64(i + 1), Cores: 2,
 				})
 				if err != nil {
@@ -402,7 +402,7 @@ func BenchmarkAblationPipeBlend(b *testing.B) {
 					prof.RWInterference = 0
 					prof.WriteAmpSteady = 1
 				}
-				cl, err := core.NewCluster(core.Options{
+				cl, err := core.NewFleet(core.Options{
 					Knob: core.KnobNone, Profile: prof,
 					Precondition: true, Seed: uint64(i + 1), Cores: 10,
 				})
@@ -422,7 +422,7 @@ func BenchmarkAblationPipeBlend(b *testing.B) {
 func BenchmarkEngineThroughput(b *testing.B) {
 	var events, span float64
 	for i := 0; i < b.N; i++ {
-		cl, err := core.NewCluster(core.Options{Knob: core.KnobNone, Seed: uint64(i + 1), Cores: 10})
+		cl, err := core.NewFleet(core.Options{Knob: core.KnobNone, Seed: uint64(i + 1), Cores: 10})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,7 @@ import (
 
 var (
 	expFlag     = flag.String("exp", "all", "experiment id: fig2|fig3|fig4|fig5|fig6|fig7|q10|tab1|resilience|attribution|fleetscale|tracereplay|all (fleetscale and tracereplay are opt-in: not part of all)")
-	knobFlag    = flag.String("knob", "", "restrict to one knob (none|mq-deadline|bfq|io.max|io.latency|io.cost|adaptive); adaptive is the opt-in closed-loop shaper, never part of the default five-knob sweeps")
+	knobFlag    = flag.String("knob", "", "restrict to one knob ("+strings.Join(core.KnobNames(), "|")+"); adaptive is the opt-in closed-loop shaper, never part of the default five-knob sweeps")
 	quickFlag   = flag.Bool("quick", false, "short runs and coarse sweeps (fast, noisier)")
 	seedFlag    = flag.Uint64("seed", 1, "simulation seed")
 	profFlag    = flag.String("profile", "flash980", "device profile (flash980|optane), the paper's two SSDs")
@@ -524,7 +524,7 @@ func fig7Units() ([]harness.Unit, error) {
 			// The paper only sweeps BE variants for the throttling
 			// knobs; the schedulers' trade-offs are too limited (Q6).
 			vs := variants
-			if k == core.KnobMQDeadline || k == core.KnobBFQ {
+			if k.UsesScheduler() {
 				vs = []core.BEVariant{core.BE4KRand}
 			}
 			for _, v := range vs {

@@ -51,7 +51,7 @@ func protect(k isolbench.Knob, lc, be *cgroup.Group, root *cgroup.Group) error {
 func main() {
 	fmt.Println("knob          LC P99       LC mean      aggregate    note")
 	for _, k := range isolbench.AllKnobs() {
-		cluster, err := isolbench.NewCluster(isolbench.Options{Knob: k, Seed: 7})
+		cluster, err := isolbench.NewFleet(isolbench.Options{Knob: k, Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}

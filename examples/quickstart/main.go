@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	cluster, err := isolbench.NewCluster(isolbench.Options{
+	cluster, err := isolbench.NewFleet(isolbench.Options{
 		Knob: isolbench.KnobIOMax,
 		Seed: 1,
 	})

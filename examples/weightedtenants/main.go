@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	cluster, err := isolbench.NewCluster(isolbench.Options{
+	cluster, err := isolbench.NewFleet(isolbench.Options{
 		Knob: isolbench.KnobIOCost,
 		Seed: 21,
 	})

@@ -124,7 +124,7 @@ func TestAdaptiveParanoidFaultProfiles(t *testing.T) {
 // TestAdaptiveChurnForgets: removing a tenant mid-run drops it from
 // every shaper (no stale caps, no leaked controller memory).
 func TestAdaptiveChurnForgets(t *testing.T) {
-	cl, err := NewCluster(Options{Knob: KnobAdaptive, Seed: 1, Control: RunControl{Paranoid: true}})
+	cl, err := NewFleet(Options{Knob: KnobAdaptive, Seed: 1, Control: RunControl{Paranoid: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAdaptiveChurnForgets(t *testing.T) {
 // column shapers (the overhead experiments rely on this to neutralize
 // the caps).
 func TestAdaptiveShaperConfigOverride(t *testing.T) {
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:   KnobAdaptive,
 		Seed:   1,
 		Shaper: shaper.Config{FloorBps: 1e12, CeilingBps: 2e12},

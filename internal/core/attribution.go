@@ -86,7 +86,7 @@ type AttributionResult struct {
 // matrix.
 func RunAttribution(cfg AttributionConfig) (*AttributionResult, error) {
 	cfg = cfg.withDefaults()
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:       cfg.Knob,
 		Cores:      cfg.Cores,
 		Seed:       cfg.Seed,

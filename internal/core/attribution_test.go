@@ -12,9 +12,9 @@ import (
 
 // runAttrScenario builds a small two-tenant contention scenario with
 // attribution on or off and returns the cluster and its window result.
-func runAttrScenario(t *testing.T, knob Knob, attrOn bool) (*Cluster, Result) {
+func runAttrScenario(t *testing.T, knob Knob, attrOn bool) (*Fleet, Result) {
 	t.Helper()
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob: knob, Cores: 2, Seed: 7,
 		Observe: true, Attr: attrOn,
 		AttrConfig: attr.Config{Strict: true},

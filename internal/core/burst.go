@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"isolbench/internal/cgroup"
 	"isolbench/internal/metrics"
-	"isolbench/internal/runpool"
 	"isolbench/internal/sim"
 	"isolbench/internal/workload"
 )
@@ -52,45 +49,6 @@ type BurstResult struct {
 	Timeline []metrics.TimelinePoint
 }
 
-// burstPriorityConfig applies each knob's strongest prioritization
-// setting (the configuration a practitioner would use to protect the
-// bursty app).
-func burstPriorityConfig(k Knob, prio, be, root *cgroup.Group) error {
-	switch k {
-	case KnobMQDeadline:
-		if err := prio.SetFile("io.prio.class", "rt"); err != nil {
-			return err
-		}
-		return be.SetFile("io.prio.class", "be")
-	case KnobBFQ:
-		if err := prio.SetFile("io.bfq.weight", "1000"); err != nil {
-			return err
-		}
-		return be.SetFile("io.bfq.weight", "1")
-	case KnobIOMax:
-		return be.SetFile("io.max", "rbps=536870912 wbps=536870912") // 512 MiB/s
-	case KnobIOLatency:
-		return prio.SetFile("io.latency", "target=150")
-	case KnobIOCost:
-		if err := prio.SetFile("io.weight", "10000"); err != nil {
-			return err
-		}
-		if err := be.SetFile("io.weight", "100"); err != nil {
-			return err
-		}
-		return root.SetFile("io.cost.qos",
-			DevName(0)+" enable=1 rpct=95 rlat=150 wpct=95 wlat=500 min=50.00 max=125.00")
-	case KnobAdaptive:
-		// Maximum io.weight skew: the shaper grants the bursty app
-		// nearly the whole capacity budget the moment it has traffic.
-		if err := prio.SetFile("io.weight", "10000"); err != nil {
-			return err
-		}
-		return be.SetFile("io.weight", "100")
-	}
-	return nil
-}
-
 // RunBurst measures the response time for a high-priority bursty app
 // under one knob. Response time is from the burst start until the
 // priority app's windowed bandwidth first reaches 80% of its eventual
@@ -101,7 +59,7 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := NewCluster(Options{Knob: cfg.Knob, Profile: prof, Cores: cfg.Cores, Seed: cfg.Seed, Control: cfg.Control})
+	cl, err := NewFleet(Options{Knob: cfg.Knob, Profile: prof, Cores: cfg.Cores, Seed: cfg.Seed, Control: cfg.Control})
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +71,12 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := burstPriorityConfig(cfg.Knob, prioG, beG, cl.Tree.Root()); err != nil {
-		return nil, err
+	// The knob's strongest prioritization setting: the configuration
+	// a practitioner would use to protect the bursty app.
+	if f := cfg.Knob.spec().burst; f != nil {
+		if err := f(prioG, beG, cl.Tree.Root()); err != nil {
+			return nil, err
+		}
 	}
 
 	spec := prioSpec(cfg.Kind, prioG)
@@ -179,17 +141,4 @@ func RunBurst(cfg BurstConfig) (*BurstResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunBurstGrid runs independent burst experiments (one cluster each)
-// across a worker pool, returning results in config order — the Q10
-// grid of knobs x priority kinds.
-func RunBurstGrid(cfgs []BurstConfig, workers int) ([]*BurstResult, error) {
-	var ctx context.Context
-	if len(cfgs) > 0 {
-		ctx = cfgs[0].Control.Ctx
-	}
-	return runpool.MapCtx(ctx, workers, len(cfgs), func(i int) (*BurstResult, error) {
-		return RunBurst(cfgs[i])
-	})
 }

@@ -143,13 +143,9 @@ func (o Options) withDefaults() Options {
 		// observer; forcing it is safe for the same reason as above.
 		o.Observe = true
 	}
-	if o.Knob == KnobAdaptive {
-		// The adaptive shaper estimates from io.stat/io.pressure/SLO
-		// deltas, which only exist with the observer attached. In a
-		// sharded fleet each column's shaper reads its own shard's
-		// observer, which holds the complete state of every cgroup with
-		// traffic on that column (cgroups bind to one shard), so the
-		// control loop is byte-identical across -shards values.
+	if o.Knob.spec().observe {
+		// The knob's control loop estimates from io.stat/io.pressure/
+		// SLO deltas, which only exist with the observer attached.
 		o.Observe = true
 	}
 	if o.Control.Paranoid && o.Attr {
@@ -159,18 +155,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Cluster is the legacy name for a Fleet: the single-device experiments
-// predate the fleet layer and keep reading naturally through this
-// alias.
-type Cluster = Fleet
-
 // DevName returns the "major:minor" name of device i as used in cgroup
 // control files.
 func DevName(i int) string { return fmt.Sprintf("259:%d", i) }
-
-// NewCluster assembles a testbed for the given options (alias of
-// NewFleet, kept for the pre-fleet experiment code).
-func NewCluster(opts Options) (*Cluster, error) { return NewFleet(opts) }
 
 // GroupStats aggregates one tenant group's apps over the measurement
 // window.

@@ -49,6 +49,14 @@ func TestParseKnob(t *testing.T) {
 			t.Fatalf("ParseKnob(%q) accepted as %v, want error", bad, k)
 		}
 	}
+	// KnobNames lists the canonical names in Knob order (-knob help).
+	var names []string
+	for _, tc := range aliases {
+		names = append(names, tc.aliases[0])
+	}
+	if got := strings.Join(KnobNames(), "|"); got != strings.Join(names, "|") {
+		t.Fatalf("KnobNames() = %s", got)
+	}
 	// The adaptive shaper is opt-in: the paper's knob lists must not
 	// grow a sixth control row (the five-row tables are golden-pinned).
 	if len(AllKnobs()) != 6 || len(ControlKnobs()) != 5 {
@@ -74,24 +82,31 @@ func TestParseKnob(t *testing.T) {
 	}
 }
 
-func TestClusterAssembly(t *testing.T) {
-	for _, k := range AllKnobs() {
-		cl, err := NewCluster(Options{Knob: k, Devices: 2, Seed: 1})
+// TestFleetAssembly builds a two-device fleet for every registered
+// knob and checks its column wiring against the knob's spec.
+func TestFleetAssembly(t *testing.T) {
+	for i, s := range knobSpecs {
+		k := Knob(i)
+		cl, err := NewFleet(Options{Knob: k, Devices: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if len(cl.Devices) != 2 || len(cl.Queues) != 2 {
 			t.Fatalf("%v: device wiring", k)
 		}
+		// A scheduler knob is named after its scheduler and has no
+		// controller; every other knob runs the noop scheduler.
 		wantSched := "none"
-		switch k {
-		case KnobMQDeadline:
-			wantSched = "mq-deadline"
-		case KnobBFQ:
-			wantSched = "bfq"
+		if k.UsesScheduler() {
+			wantSched = k.String()
 		}
-		if got := cl.Queues[0].Scheduler().Name(); got != wantSched {
-			t.Fatalf("%v: scheduler = %q", k, got)
+		for d, q := range cl.Queues {
+			if got := q.Scheduler().Name(); got != wantSched {
+				t.Fatalf("%v: device %d scheduler = %q, want %q", k, d, got, wantSched)
+			}
+			if hasCtl := q.Controller() != nil; hasCtl != (s.ctl != nil) || hasCtl && k.UsesScheduler() {
+				t.Fatalf("%v: device %d controller = %v", k, d, q.Controller())
+			}
 		}
 		if k == KnobIOCost {
 			if len(cl.IOCost) != 2 {
@@ -101,14 +116,11 @@ func TestClusterAssembly(t *testing.T) {
 				t.Fatalf("io.cost.model not configured: %q %v", v, err)
 			}
 		}
-		if k.UsesScheduler() && cl.Queues[0].Controller() != nil {
-			t.Fatalf("%v: scheduler knob must not have a controller", k)
-		}
 	}
 }
 
 func TestClusterRunPhase(t *testing.T) {
-	cl, err := NewCluster(Options{Knob: KnobNone, Seed: 2})
+	cl, err := NewFleet(Options{Knob: KnobNone, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +157,7 @@ func TestClusterRunPhase(t *testing.T) {
 }
 
 func TestClusterBadDeviceIndex(t *testing.T) {
-	cl, _ := NewCluster(Options{Knob: KnobNone})
+	cl, _ := NewFleet(Options{Knob: KnobNone})
 	g, _ := cl.NewGroup("g")
 	if _, err := cl.AddApp(workload.LCApp("lc", g), 7); err == nil {
 		t.Fatal("bad device index accepted")
@@ -335,7 +347,7 @@ func TestIllustrateSchedule(t *testing.T) {
 }
 
 func TestNeutralizeKnob(t *testing.T) {
-	cl, _ := NewCluster(Options{Knob: KnobIOMax})
+	cl, _ := NewFleet(Options{Knob: KnobIOMax})
 	g, _ := cl.NewGroup("g")
 	if err := NeutralizeKnob(KnobIOMax, g); err != nil {
 		t.Fatal(err)

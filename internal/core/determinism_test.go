@@ -10,7 +10,7 @@ import (
 // runOnce builds a small two-tenant scenario and returns its result.
 func runOnce(t *testing.T, knob Knob, seed uint64) Result {
 	t.Helper()
-	cl, err := NewCluster(Options{Knob: knob, Seed: seed})
+	cl, err := NewFleet(Options{Knob: knob, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestSeedSensitivity(t *testing.T) {
 // schedules the simulation (two interleaved clusters advance
 // independently).
 func TestNoWallClockLeak(t *testing.T) {
-	mk := func() (*Cluster, error) {
-		cl, err := NewCluster(Options{Knob: KnobIOCost, Seed: 9})
+	mk := func() (*Fleet, error) {
+		cl, err := NewFleet(Options{Knob: KnobIOCost, Seed: 9})
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func TestNoWallClockLeak(t *testing.T) {
 // off.
 func runOnceObs(t *testing.T, knob Knob, seed uint64, observe bool) Result {
 	t.Helper()
-	cl, err := NewCluster(Options{Knob: knob, Seed: seed, Observe: observe})
+	cl, err := NewFleet(Options{Knob: knob, Seed: seed, Observe: observe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestObsDeterminism(t *testing.T) {
 func BenchmarkObsClusterOverhead(b *testing.B) {
 	run := func(b *testing.B, observe bool) {
 		for i := 0; i < b.N; i++ {
-			cl, err := NewCluster(Options{Knob: KnobIOCost, Seed: 42, Observe: observe})
+			cl, err := NewFleet(Options{Knob: KnobIOCost, Seed: 42, Observe: observe})
 			if err != nil {
 				b.Fatal(err)
 			}

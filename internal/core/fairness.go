@@ -115,32 +115,16 @@ func fairnessWeights(n int, weighted bool) []float64 {
 // for io.latency, and a proportional share of peak read bandwidth for
 // io.max.
 func applyFairnessWeights(k Knob, groups []*cgroup.Group, w []float64, peakBW float64) error {
+	set := k.spec().weight
+	if set == nil {
+		return nil
+	}
 	var total float64
 	for _, x := range w {
 		total += x
 	}
 	for i, g := range groups {
-		var err error
-		switch k {
-		case KnobIOCost, KnobAdaptive:
-			// The adaptive shaper apportions its capacity budget by
-			// io.weight, so it shares io.cost's native weight file.
-			err = g.SetFile("io.weight", fmt.Sprintf("%d", clampInt(int(w[i]*100), 1, 10000)))
-		case KnobBFQ:
-			err = g.SetFile("io.bfq.weight", fmt.Sprintf("%d", clampInt(int(w[i]*60), 1, 1000)))
-		case KnobIOMax:
-			err = g.SetFile("io.max", fmt.Sprintf("rbps=%.0f wbps=%.0f",
-				w[i]/total*peakBW, w[i]/total*peakBW))
-		case KnobIOLatency:
-			// Approximate weights with latency targets: higher weight,
-			// tighter target.
-			err = g.SetFile("io.latency", fmt.Sprintf("target=%d", int64(1000/w[i])))
-		case KnobMQDeadline:
-			// Approximate weights with the three priority classes by
-			// tercile of the weight distribution.
-			err = g.SetFile("io.prio.class", []string{"idle", "be", "rt"}[3*i/len(groups)])
-		}
-		if err != nil {
+		if err := set(g, i, len(groups), w[i], w[i]/total*peakBW); err != nil {
 			return fmt.Errorf("group %s: %w", g.Name(), err)
 		}
 	}
@@ -205,7 +189,7 @@ func runFairnessRepeat(cfg FairnessConfig, weights []float64, rep int) ([]float6
 		Precondition: cfg.Mix == MixReadWrite,
 		Control:      cfg.Control,
 	}
-	cl, err := NewCluster(opts)
+	cl, err := NewFleet(opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -239,10 +223,9 @@ func runFairnessRepeat(cfg FairnessConfig, weights []float64, rep int) ([]float6
 			}
 		}
 	}
-	// io.max has no notion of weights: practitioners translate
-	// shares into static maximums (§VI-A), so uniform runs also
-	// get equal caps (a fraction of peak read bandwidth each).
-	if cfg.Weighted || cfg.Knob == KnobIOMax {
+	// Knobs with static shares get equal caps on uniform runs too (a
+	// fraction of peak read bandwidth each).
+	if cfg.Weighted || cfg.Knob.spec().staticShares {
 		if err := applyFairnessWeights(cfg.Knob, groups, weights, 3.0e9); err != nil {
 			return nil, 0, err
 		}

@@ -74,9 +74,6 @@ type DeviceColumn struct {
 // columns, and the tenants/apps added so far. It supports mid-run
 // churn — AddTenant/RemoveTenant while the engine runs — with drained
 // teardown so the conservation invariants keep holding.
-//
-// Cluster is an alias of Fleet; the single-device experiments use the
-// legacy name and never touch the tenant API.
 type Fleet struct {
 	Opts Options
 
@@ -301,15 +298,6 @@ func NewFleet(opts Options) (*Fleet, error) {
 	}
 	c.Slice = slice
 
-	// io.cost config must be on the root before controllers attach.
-	if opts.Knob == KnobIOCost {
-		for i := 0; i < opts.Devices; i++ {
-			if err := c.configureIOCostRoot(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	for i := 0; i < opts.Devices; i++ {
 		if err := c.addColumn(i); err != nil {
 			return nil, err
@@ -364,13 +352,20 @@ func (c *Fleet) configureIOCostRoot(i int) error {
 	return nil
 }
 
-// addColumn builds device column i: the device, the knob's scheduler
-// and controller, the observability/attribution/fault wiring, and the
-// blk queue, in exactly the order the original single-loop constructor
-// used (the seed derivations depend on the device index only, so
-// columns added later draw the same streams they always would have).
+// addColumn builds device column i: the knob's root-cgroup lines, the
+// device, the knob's scheduler and controller, the observability/
+// attribution/fault wiring, and the blk queue, in exactly the order the
+// original single-loop constructor used (the seed derivations depend on
+// the device index only, so columns added later draw the same streams
+// they always would have).
 func (c *Fleet) addColumn(i int) error {
 	opts := c.Opts
+	spec := opts.Knob.spec()
+	if spec.root != nil {
+		if err := spec.root(c, i); err != nil {
+			return err
+		}
+	}
 	shard := 0
 	if n := len(c.shardEngs); n > 0 {
 		shard = i % n
@@ -386,61 +381,13 @@ func (c *Fleet) addColumn(i int) error {
 		dev.Precondition()
 	}
 	col := &DeviceColumn{Index: i, Dev: dev}
-	var sched blk.Scheduler
+	var sched blk.Scheduler = noop.New()
+	if spec.sched != nil {
+		sched = spec.sched(c, eng, ob)
+	}
 	var ctl blk.Controller
-	switch opts.Knob {
-	case KnobMQDeadline:
-		md := mqdeadline.New(eng, mqdeadline.DefaultConfig())
-		md.Obs = ob
-		sched = md
-	case KnobBFQ:
-		cfg := bfq.DefaultConfig()
-		if opts.BFQSliceIdleOff {
-			cfg.SliceIdle = 0
-		}
-		cfg.LowLatency = opts.BFQLowLatency
-		bq := bfq.New(eng, cfg)
-		bq.Obs = ob
-		sched = bq
-	case KnobIOMax:
-		sched = noop.New()
-		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = ob
-		ctl = im
-	case KnobIOLatency:
-		sched = noop.New()
-		il := iolatency.New(eng, c.Tree, DevName(i), opts.Profile.MaxQD)
-		il.Obs = ob
-		c.IOLat = append(c.IOLat, il)
-		col.IOLat = il
-		ctl = il
-	case KnobIOCost:
-		sched = noop.New()
-		ic := iocost.New(eng, c.Tree, DevName(i))
-		ic.Obs = ob
-		c.IOCost = append(c.IOCost, ic)
-		col.IOCost = ic
-		ctl = ic
-	case KnobAdaptive:
-		// The adaptive knob enforces through the same io.max mechanism
-		// as KnobIOMax, but its limits are rewritten every window by the
-		// closed-loop shaper, and its throttle holds are blamed on the
-		// shaper's decisions (LayerShaper) rather than on static io.max
-		// configuration.
-		sched = noop.New()
-		im := iomax.New(eng, c.Tree, DevName(i))
-		im.Obs = ob
-		im.HoldLayer = attr.LayerShaper
-		ctl = im
-		sh := shaper.New(eng, c.Tree, DevName(i), opts.Shaper)
-		sh.Obs = ob
-		for _, g := range c.Groups {
-			sh.Register(g)
-		}
-		c.Shapers = append(c.Shapers, sh)
-		col.Shaper = sh
-	default:
-		sched = noop.New()
+	if spec.ctl != nil {
+		ctl = spec.ctl(c, col, eng, ob)
 	}
 	if ob != nil {
 		name := DevName(i)
@@ -510,11 +457,6 @@ func (c *Fleet) addColumn(i int) error {
 // new column's device index.
 func (c *Fleet) AddDevice() (int, error) {
 	i := len(c.Devices)
-	if c.Opts.Knob == KnobIOCost {
-		if err := c.configureIOCostRoot(i); err != nil {
-			return 0, err
-		}
-	}
 	if err := c.addColumn(i); err != nil {
 		return 0, err
 	}

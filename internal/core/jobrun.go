@@ -53,7 +53,7 @@ func RunJobFile(cfg JobRunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:      cfg.Knob,
 		Profile:   prof,
 		Cores:     cfg.Cores,
@@ -143,7 +143,7 @@ func ReplayTrace(k Knob, profile string, entries []trace.Entry, seed uint64) (wo
 	if err != nil {
 		return workload.Stats{}, err
 	}
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:    k,
 		Profile: prof,
 		Seed:    seed,

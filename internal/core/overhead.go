@@ -16,11 +16,8 @@ import (
 // priority classes stay unset. (io.cost is neutralized cluster-wide
 // via UnthrottledCostModel/QoS; BFQ via BFQSliceIdleOff.)
 func NeutralizeKnob(k Knob, g *cgroup.Group) error {
-	switch k {
-	case KnobIOMax:
-		return g.SetFile("io.max", "rbps=1000000000000 wbps=1000000000000")
-	case KnobIOLatency:
-		return g.SetFile("io.latency", "target=5000000") // 5 s
+	if f := k.spec().neutralize; f != nil {
+		return f(g)
 	}
 	return nil
 }
@@ -42,14 +39,8 @@ func overheadOptions(k Knob, profile string, cores, devices int, seed uint64) (O
 		IOCostModel:     UnthrottledCostModel,
 		IOCostQoS:       UnthrottledCostQoS,
 	}
-	if k == KnobAdaptive {
-		// Neutralize the shaper the same way io.max/io.cost are
-		// neutralized: its control loop, estimators, and window ticks
-		// all run (that machinery IS the measured overhead), but a cap
-		// floor far beyond device saturation guarantees it never
-		// throttles the D1 workload.
-		opts.Shaper.FloorBps = 1e12
-		opts.Shaper.CeilingBps = 2e12
+	if f := k.spec().overhead; f != nil {
+		f(&opts)
 	}
 	return opts, nil
 }
@@ -111,7 +102,7 @@ func RunLatencyScaling(cfg LatencyScalingConfig) ([]LatencyScalingPoint, error) 
 			return zero, err
 		}
 		opts.Control = cfg.Control
-		cl, err := NewCluster(opts)
+		cl, err := NewFleet(opts)
 		if err != nil {
 			return zero, err
 		}
@@ -212,7 +203,7 @@ func RunBandwidthScaling(cfg BandwidthScalingConfig) ([]BandwidthScalingPoint, e
 			// binding; keep this experiment on the single engine.
 			opts.Control.Shards = 0
 		}
-		cl, err := NewCluster(opts)
+		cl, err := NewFleet(opts)
 		if err != nil {
 			return zero, err
 		}

@@ -19,14 +19,14 @@ func (e *InvariantError) Error() string {
 // snapshotParanoid records the io.stat byte total at the start of the
 // measurement window; CheckInvariants compares the window delta against
 // what the apps report.
-func (c *Cluster) snapshotParanoid() {
+func (c *Fleet) snapshotParanoid() {
 	c.obsBase = c.obsBytesTotal()
 	c.obsBaseSet = true
 }
 
 // obsBytesTotal sums rbytes+wbytes over every (cgroup, device) io.stat
 // entry.
-func (c *Cluster) obsBytesTotal() int64 {
+func (c *Fleet) obsBytesTotal() int64 {
 	var total int64
 	for _, cg := range c.Obs.Cgroups() {
 		for i := range c.Devices {
@@ -44,7 +44,7 @@ func (c *Cluster) obsBytesTotal() int64 {
 // violated law, or nil when all hold. It is called automatically at the
 // end of RunPhase/RunTo in paranoid mode and is safe to call directly
 // from tests.
-func (c *Cluster) CheckInvariants() error {
+func (c *Fleet) CheckInvariants() error {
 	c.invariantChecks++
 	var v []string
 

@@ -16,9 +16,9 @@ import (
 
 // buildTwoTenant assembles a small two-group, two-app cluster for
 // paranoid-mode tests.
-func buildTwoTenant(t *testing.T, opts Options) *Cluster {
+func buildTwoTenant(t *testing.T, opts Options) *Fleet {
 	t.Helper()
-	cl, err := NewCluster(opts)
+	cl, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestParanoidCoversReplay(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cl, err := NewCluster(Options{
+			cl, err := NewFleet(Options{
 				Knob: KnobIOCost, Seed: 5, Fault: fp,
 				Control: RunControl{Ctx: context.Background(), Paranoid: true},
 			})

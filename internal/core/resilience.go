@@ -97,7 +97,7 @@ const protectedTenant = 1
 // runResilienceCluster builds and runs one side of a cell (healthy or
 // faulted, per opts.Fault) and returns the cluster plus its windowed
 // result.
-func runResilienceCluster(cfg ResilienceConfig, fp fault.Profile) (*Cluster, Result, error) {
+func runResilienceCluster(cfg ResilienceConfig, fp fault.Profile) (*Fleet, Result, error) {
 	if fp.Enabled() && fp.Horizon <= 0 {
 		// Fault activity stops at 75% of the measure window so the tail
 		// of every run can observe recovery; without this the last
@@ -105,7 +105,7 @@ func runResilienceCluster(cfg ResilienceConfig, fp fault.Profile) (*Cluster, Res
 		// "recovered" would be unobservable by construction.
 		fp.Horizon = cfg.Warmup + cfg.Measure*3/4
 	}
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:    cfg.Knob,
 		Cores:   cfg.Cores,
 		Seed:    cfg.Seed,
@@ -188,7 +188,7 @@ func RunResilience(cfg ResilienceConfig) (*ResilienceResult, error) {
 
 // topBlameOf renders the protected tenant's dominant wait layer, e.g.
 // "devqueue 72%", or "-" when it recorded no attributable wait.
-func topBlameOf(cl *Cluster) string {
+func topBlameOf(cl *Fleet) string {
 	if cl.Attr == nil || len(cl.Groups) <= protectedTenant {
 		return "-"
 	}
@@ -210,7 +210,7 @@ func groupBWs(r Result) []float64 {
 // measureRecovery walks the faulted cluster's aggregate bandwidth in
 // 100 ms windows from the end of its last fault window, looking for two
 // consecutive windows at >= 85% of the healthy run's mean bandwidth.
-func measureRecovery(cl *Cluster, baseBW float64) (sim.Duration, bool, bool) {
+func measureRecovery(cl *Fleet, baseBW float64) (sim.Duration, bool, bool) {
 	if len(cl.Faults) == 0 || baseBW <= 0 {
 		return 0, false, false
 	}

@@ -12,9 +12,9 @@ import (
 
 // runOnceFault is runOnce with explicit fault/retry options, returning
 // the cluster too so tests can inspect the event count.
-func runOnceFault(t *testing.T, knob Knob, seed uint64, fp fault.Profile, rp blk.RetryPolicy) (*Cluster, Result) {
+func runOnceFault(t *testing.T, knob Knob, seed uint64, fp fault.Profile, rp blk.RetryPolicy) (*Fleet, Result) {
 	t.Helper()
-	cl, err := NewCluster(Options{Knob: knob, Seed: seed, Fault: fp, Retry: rp})
+	cl, err := NewFleet(Options{Knob: knob, Seed: seed, Fault: fp, Retry: rp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFaultDisabledGolden(t *testing.T) {
 			t.Fatalf("%v: disabled faults changed the result:\nplain: %+v\n  off: %+v", knob, plain, off)
 		}
 		// Re-run the plain scenario to compare event counts.
-		cl2, err := NewCluster(Options{Knob: knob, Seed: 42})
+		cl2, err := NewFleet(Options{Knob: knob, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,7 +151,7 @@ func runTraceReplaySide(cfg TraceReplayConfig, src trace.Source, contended bool)
 		// recovery, mirroring the resilience experiment.
 		fp.Horizon = cfg.Warmup + sim.Duration(cfg.Phases)*cfg.PhaseDur*3/4
 	}
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:    cfg.Knob,
 		Cores:   cfg.Cores,
 		Seed:    cfg.Seed,

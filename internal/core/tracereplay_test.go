@@ -103,9 +103,9 @@ func TestTraceReplayRejectsUnknownShape(t *testing.T) {
 // replayGoldenRun builds a single-tenant replay cluster from opts,
 // streams a fixed diurnal trace through it, and returns the cluster
 // and the replay stats.
-func replayGoldenRun(t *testing.T, opts Options) (*Cluster, workload.Stats) {
+func replayGoldenRun(t *testing.T, opts Options) (*Fleet, workload.Stats) {
 	t.Helper()
-	cl, err := NewCluster(opts)
+	cl, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReplayFaultDisabledGolden(t *testing.T) {
 // returns the replay stats per device.
 func shardedReplayStats(t *testing.T, shards int) []workload.Stats {
 	t.Helper()
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob: KnobNone, Seed: 9, Devices: 2, Cores: 4,
 		Control: RunControl{Shards: shards},
 	})
@@ -211,7 +211,7 @@ func BenchmarkReplayStream(b *testing.B) {
 	sh := gen.Shape{Seed: 11, Duration: sim.Second, BaseIOPS: 20000}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cl, err := NewCluster(Options{Knob: KnobNone, Seed: 13})
+		cl, err := NewFleet(Options{Knob: KnobNone, Seed: 13})
 		if err != nil {
 			b.Fatal(err)
 		}

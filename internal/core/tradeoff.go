@@ -90,10 +90,8 @@ func (c TradeoffConfig) withDefaults() TradeoffConfig {
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 400 * sim.Millisecond
-		if c.Knob == KnobIOLatency {
-			// io.latency converges over many 500 ms windows (QD is
-			// halved at most once per window): measure steady state.
-			c.Warmup = 6 * sim.Second
+		if w := c.Knob.spec().warmup; w > 0 {
+			c.Warmup = w
 		}
 	}
 	if c.Measure <= 0 {
@@ -105,128 +103,17 @@ func (c TradeoffConfig) withDefaults() TradeoffConfig {
 // knobSetting is one point of a knob's configuration space.
 type knobSetting struct {
 	name  string
-	apply func(prio, be *cgroup.Group, root *cgroup.Group) error
+	apply groupSetup
 }
 
 // tradeoffSettings enumerates the knob's configuration space the way
-// the paper sweeps it (Q6-Q9).
+// the paper sweeps it (Q6-Q9); a knob without a sweep gets one
+// baseline setting.
 func tradeoffSettings(cfg TradeoffConfig) []knobSetting {
-	var out []knobSetting
-	switch cfg.Knob {
-	case KnobMQDeadline:
-		// All io.prio.class permutations between priority and BE app.
-		classes := []string{"rt", "be", "idle"}
-		for _, pc := range classes {
-			for _, bc := range classes {
-				pc, bc := pc, bc
-				out = append(out, knobSetting{
-					name: fmt.Sprintf("prio=%s be=%s", pc, bc),
-					apply: func(prio, be, _ *cgroup.Group) error {
-						if err := prio.SetFile("io.prio.class", pc); err != nil {
-							return err
-						}
-						return be.SetFile("io.prio.class", bc)
-					},
-				})
-			}
-		}
-	case KnobBFQ:
-		// io.bfq.weight for the priority app from 1 to 1000.
-		for i := 0; i < cfg.Steps; i++ {
-			w := clampInt(1+i*999/(cfg.Steps-1), 1, 1000)
-			out = append(out, knobSetting{
-				name: fmt.Sprintf("prio-weight=%d", w),
-				apply: func(prio, be, _ *cgroup.Group) error {
-					if err := prio.SetFile("io.bfq.weight", fmt.Sprintf("%d", w)); err != nil {
-						return err
-					}
-					return be.SetFile("io.bfq.weight", "100")
-				},
-			})
-		}
-	case KnobIOLatency:
-		// Priority P90 target from 75 us to 1.2 ms.
-		for i := 0; i < cfg.Steps; i++ {
-			us := 75 + i*(1200-75)/(cfg.Steps-1)
-			out = append(out, knobSetting{
-				name: fmt.Sprintf("target=%dus", us),
-				apply: func(prio, _, _ *cgroup.Group) error {
-					return prio.SetFile("io.latency", fmt.Sprintf("target=%d", us))
-				},
-			})
-		}
-	case KnobIOMax:
-		// BE bandwidth cap from 80 MiB/s to saturation.
-		lo, hi := 80.0*(1<<20), 2.3*(1<<30)
-		for i := 0; i < cfg.Steps; i++ {
-			bw := lo + float64(i)*(hi-lo)/float64(cfg.Steps-1)
-			out = append(out, knobSetting{
-				name: fmt.Sprintf("be-max=%.0fMiB/s", bw/(1<<20)),
-				apply: func(_, be, _ *cgroup.Group) error {
-					return be.SetFile("io.max", fmt.Sprintf("rbps=%.0f wbps=%.0f", bw, bw))
-				},
-			})
-		}
-	case KnobIOCost:
-		if cfg.Kind == PriorityBatch {
-			// io.weight 10000 vs 100; sweep the qos "min" window with
-			// a fixed 500 us P95 read target (§VI-B Q9). min=max pins
-			// the vrate scaling window at the swept level.
-			for i := 0; i < cfg.Steps; i++ {
-				min := 25 + float64(i)*(150-25)/float64(cfg.Steps-1)
-				qos := fmt.Sprintf("enable=1 rpct=95 rlat=500 wpct=95 wlat=1000 min=%.2f max=%.2f", min, min)
-				out = append(out, knobSetting{
-					name: fmt.Sprintf("weight=10000 qos-min=%.0f%%", min),
-					apply: func(prio, be, root *cgroup.Group) error {
-						if err := prio.SetFile("io.weight", "10000"); err != nil {
-							return err
-						}
-						if err := be.SetFile("io.weight", "100"); err != nil {
-							return err
-						}
-						return root.SetFile("io.cost.qos", DevName(0)+" "+qos)
-					},
-				})
-			}
-		} else {
-			// LC: sweep the P99 read latency target.
-			for i := 0; i < cfg.Steps; i++ {
-				us := 100 + i*(1200-100)/(cfg.Steps-1)
-				qos := fmt.Sprintf("enable=1 rpct=99 rlat=%d wpct=95 wlat=1000 min=50.00 max=125.00", us)
-				out = append(out, knobSetting{
-					name: fmt.Sprintf("weight=10000 rlat=%dus", us),
-					apply: func(prio, be, root *cgroup.Group) error {
-						if err := prio.SetFile("io.weight", "10000"); err != nil {
-							return err
-						}
-						if err := be.SetFile("io.weight", "100"); err != nil {
-							return err
-						}
-						return root.SetFile("io.cost.qos", DevName(0)+" "+qos)
-					},
-				})
-			}
-		}
-	case KnobAdaptive:
-		// The shaper's configuration surface is the io.weight ratio it
-		// apportions its capacity budget by: sweep the priority app's
-		// weight from parity to the maximum against a fixed BE 100.
-		for i := 0; i < cfg.Steps; i++ {
-			w := clampInt(100+i*(10000-100)/(cfg.Steps-1), 1, 10000)
-			out = append(out, knobSetting{
-				name: fmt.Sprintf("prio-weight=%d", w),
-				apply: func(prio, be, _ *cgroup.Group) error {
-					if err := prio.SetFile("io.weight", fmt.Sprintf("%d", w)); err != nil {
-						return err
-					}
-					return be.SetFile("io.weight", "100")
-				},
-			})
-		}
-	default:
-		out = append(out, knobSetting{name: "baseline", apply: func(_, _, _ *cgroup.Group) error { return nil }})
+	if f := cfg.Knob.spec().tradeoff; f != nil {
+		return f(cfg)
 	}
-	return out
+	return []knobSetting{{name: "baseline", apply: func(_, _, _ *cgroup.Group) error { return nil }}}
 }
 
 // beSpec builds one BE app spec for the variant.
@@ -281,7 +168,7 @@ func runTradeoffSetting(cfg TradeoffConfig, si int, set knobSetting) (TradeoffPo
 	if err != nil {
 		return zero, err
 	}
-	cl, err := NewCluster(Options{
+	cl, err := NewFleet(Options{
 		Knob:         cfg.Knob,
 		Profile:      prof,
 		Cores:        cfg.Cores,

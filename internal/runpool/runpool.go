@@ -3,7 +3,7 @@
 //
 // The experiment grids this repo runs — knob sweeps, seed repeats, app
 // counts, BE variants — are embarrassingly parallel: every unit builds
-// its own sim.Engine, RNG, and core.Cluster from an index-derived seed
+// its own sim.Engine, RNG, and core.Fleet from an index-derived seed
 // and never touches shared state. Map exploits that: it runs units on
 // up to `workers` goroutines but returns results strictly in index
 // order, so the caller's output (and therefore the CLI's stdout) is

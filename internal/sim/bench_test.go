@@ -20,22 +20,6 @@ func BenchmarkEngineEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFanout measures heap behaviour with many pending
-// events (a deep device queue's worth).
-func BenchmarkEngineFanout(b *testing.B) {
-	e := NewEngine()
-	for i := 0; i < 1024; i++ {
-		d := Duration(i + 1)
-		var fn func()
-		fn = func() { e.After(d, fn) }
-		e.After(d, fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	var sink uint64

@@ -101,12 +101,12 @@ type (
 	// Verdict is one Table I cell.
 	Verdict = core.Verdict
 
-	// Options assembles a custom testbed; Cluster gives full control
+	// Options assembles a custom testbed; Fleet gives full control
 	// over groups, apps, and knob files for scenarios beyond the
 	// paper's.
 	Options = core.Options
-	// Cluster is an assembled testbed.
-	Cluster = core.Cluster
+	// Fleet is an assembled testbed.
+	Fleet = core.Fleet
 )
 
 // Fairness workload mixes.
@@ -134,9 +134,9 @@ const (
 	Good    = core.Good
 )
 
-// NewCluster assembles a custom testbed for scenarios beyond the
+// NewFleet assembles a custom testbed for scenarios beyond the
 // paper's canned experiments.
-func NewCluster(opts Options) (*Cluster, error) { return core.NewCluster(opts) }
+func NewFleet(opts Options) (*Fleet, error) { return core.NewFleet(opts) }
 
 // LatencyScaling runs the Fig. 3 experiment (D1): LC-apps scaling on a
 // single CPU core.
