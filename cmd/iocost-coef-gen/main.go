@@ -11,20 +11,21 @@
 //
 // Usage:
 //
-//	iocost-coef-gen [-profile flash980|optane] [-dev 259:0] [-runtime 2]
+//	iocost-coef-gen [-profile name] [-dev 259:0] [-runtime 2]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"isolbench/internal/device"
 	"isolbench/internal/sim"
 )
 
 var (
-	profileFlag = flag.String("profile", "flash980", "device profile to probe (flash980|optane)")
+	profileFlag = flag.String("profile", "flash980", "device profile to probe ("+strings.Join(device.ProfileNames(), "|")+")")
 	devFlag     = flag.String("dev", "259:0", "device name to prefix the model line with")
 	runtimeFlag = flag.Float64("runtime", 2.0, "virtual seconds per probe")
 	qdFlag      = flag.Int("qd", 256, "probe queue depth")

@@ -60,29 +60,25 @@ func TestQuickGoldens(t *testing.T) {
 		t.Skip("quick-mode sweeps are multi-second runs")
 	}
 	setGoldenFlags(t)
-	// The sharded runtime must hit the exact same goldens: -shards is a
-	// performance knob, never an output knob.
-	for _, shards := range []int{0, 4} {
-		shards := shards
-		for _, tc := range []struct{ exp, golden string }{
-			{"fig2", "golden_fig2_quick.txt"},
-			{"fig3", "golden_fig3_quick.txt"},
-			{"attribution", "golden_attribution_quick.txt"},
-		} {
-			tc := tc
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.exp, shards), func(t *testing.T) {
-				*shardsFlag = shards
-				want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runExp(t, tc.exp)
-				if got != string(want) {
-					t.Errorf("%s output drifted from testdata/%s at -shards %d\n(regenerate with: isolbench -exp %s -quick -seed 1 > testdata/%s)",
-						tc.exp, tc.golden, shards, tc.exp, tc.golden)
-				}
-			})
-		}
+	// All three experiments are one-device fleets, which run on one
+	// engine at any -shards, so the goldens are checked at -shards 0
+	// only; multi-shard identity is TestSharded* in internal/core.
+	for _, tc := range []struct{ exp, golden string }{
+		{"fig2", "golden_fig2_quick.txt"},
+		{"fig3", "golden_fig3_quick.txt"},
+		{"attribution", "golden_attribution_quick.txt"},
+	} {
+		tc := tc
+		t.Run(tc.exp+"/shards=0", func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runExp(t, tc.exp); got != string(want) {
+				t.Errorf("%s output drifted from testdata/%s\n(regenerate with: isolbench -exp %s -quick -seed 1 > testdata/%s)",
+					tc.exp, tc.golden, tc.exp, tc.golden)
+			}
+		})
 	}
 }
 
@@ -230,7 +226,7 @@ func TestTraceReplayResumeDeterministic(t *testing.T) {
 // sweep after its first unit, resumes from the manifest, and requires
 // the resumed report to match an uninterrupted run modulo wall_ms —
 // the churn path must be replayable from a checkpoint like every other
-// experiment. Runs once on the classic runtime and once sharded: an
+// experiment. Runs once on one engine and once on two shards: an
 // interrupted sharded sweep must resume to the same bytes.
 func TestFleetScaleResumeDeterministic(t *testing.T) {
 	for _, shards := range []int{0, 2} {

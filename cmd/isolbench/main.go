@@ -62,14 +62,14 @@ var (
 	knobFlag    = flag.String("knob", "", "restrict to one knob ("+strings.Join(core.KnobNames(), "|")+"); adaptive is the opt-in closed-loop shaper, never part of the default five-knob sweeps")
 	quickFlag   = flag.Bool("quick", false, "short runs and coarse sweeps (fast, noisier)")
 	seedFlag    = flag.Uint64("seed", 1, "simulation seed")
-	profFlag    = flag.String("profile", "flash980", "device profile (flash980|optane), the paper's two SSDs")
+	profFlag    = flag.String("profile", "flash980", "device profile ("+strings.Join(device.ProfileNames(), "|")+"); flash980 and optane model the paper's two SSDs")
 	workersFlag = flag.Int("workers", runpool.DefaultWorkers(), "parallel simulation units per sweep (1 = fully sequential; output is identical at any width)")
 	jobFlag     = flag.String("job", "", "run a fio-style job file instead of a canned experiment")
 	recordFlag  = flag.String("record", "", "with -job: write the run's device trace (JSONL) to this file")
 	replayFlag  = flag.String("replay", "", "replay a JSONL trace under -knob instead of a canned experiment")
 
 	unitTimeoutFlag = flag.Duration("unit-timeout", 0, "wall-clock budget per simulation unit; an exceeded unit is aborted with a diagnostic, its siblings keep running (0 = none)")
-	shardsFlag      = flag.Int("shards", 0, "run each fleet on up to this many per-device engines advanced in conservative time windows (0/1 = single engine; output is byte-identical at any setting; observed runs keep each cgroup in one shard; -obs-cap falls back to one engine)")
+	shardsFlag      = flag.Int("shards", 0, "run each fleet on up to this many per-device engines advanced in conservative time windows (0/1 = single engine, as is every one-device fleet; output is byte-identical at any setting; observed runs keep each cgroup in one shard; observed runs with a cgroup cap, i.e. -obs-cap or -paranoid fleetscale, use one engine)")
 	paranoidFlag    = flag.Bool("paranoid", false, "verify conservation-law invariants (submitted vs completed, byte accounting, histogram counts) at the end of every unit")
 	resumeFlag      = flag.String("resume", "", "resume from a run manifest: units it records are folded in from cache instead of rerunning")
 	manifestFlag    = flag.String("manifest", "", `run manifest path for checkpoint/resume (default results/manifest-<run>.jsonl, "none" disables journaling)`)
@@ -335,7 +335,7 @@ func fig2Units() ([]harness.Unit, error) {
 	var units []harness.Unit
 	for _, k := range ks {
 		variants := []bool{false}
-		if k == core.KnobBFQ || k == core.KnobIOCost {
+		if k.WeightedFig2() {
 			variants = []bool{false, true} // uniform + weighted panels
 		}
 		for _, weighted := range variants {

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	cluster, err := isolbench.NewFleet(isolbench.Options{
+	fleet, err := isolbench.NewFleet(isolbench.Options{
 		Knob: isolbench.KnobIOCost,
 		Seed: 21,
 	})
@@ -29,7 +29,7 @@ func main() {
 	weights := map[string]string{"gold": "800", "silver": "400", "bronze": "100"}
 	apps := map[string]*workload.App{}
 	for _, name := range []string{"gold", "silver", "bronze"} {
-		g, err := cluster.NewGroup(name)
+		g, err := fleet.NewGroup(name)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func main() {
 				// Bronze stops halfway: its share should flow to the others.
 				spec.Stop = sim.Time(2 * sim.Second)
 			}
-			app, err := cluster.AddApp(spec, 0)
+			app, err := fleet.AddApp(spec, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -54,17 +54,17 @@ func main() {
 		}
 	}
 
-	cluster.Start()
-
 	measure := func(from, to sim.Time, label string) {
-		cluster.Eng.RunUntil(to)
+		if err := fleet.RunTo(to); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n[%s] window %v .. %v\n", label, from, to)
 		var bws []float64
 		var ws []float64
 		total := 0.0
 		for _, name := range []string{"gold", "silver", "bronze"} {
 			var bw float64
-			for _, app := range cluster.Apps {
+			for _, app := range fleet.Apps {
 				st := app.Stats()
 				if len(st.Name) >= len(name) && st.Name[:len(name)] == name {
 					bw += app.Bandwidth().RateBetween(from, to)

@@ -46,11 +46,14 @@ type RunControl struct {
 	// time windows so an N-device fleet uses up to N cores while staying
 	// byte-identical to the single-engine run (see DESIGN.md "Memory
 	// model & sharding"). The effective shard count is min(Shards,
-	// Devices). Observed fleets (Observe/Attr/SLO/Paranoid) shard too,
-	// with one observer and tracker per shard, unless a cgroup cap
-	// (ObsConfig.MaxCgroups, AttrConfig.MaxVictims) is set: those fold
-	// in fleet-wide order, so they fall back to the single engine. 0 or
-	// 1 means the classic unsharded runtime.
+	// Devices), at least 1; one shard runs on Fleet.Eng itself, so 0, 1
+	// and any one-device fleet are the single-engine run. Observed
+	// fleets (Observe/Attr/SLO/Paranoid) shard too, with one observer
+	// and tracker per shard, unless a cgroup cap (ObsConfig.MaxCgroups,
+	// AttrConfig.MaxVictims) is set: those fold in fleet-wide order, so
+	// they get one shard. Fleetscale always sets both caps (its
+	// MaxCgroups, default 64), so observed fleetscale runs get one
+	// shard.
 	//
 	// Shards deliberately does NOT count toward armed(): it changes how
 	// the event stream executes, not whether a watchdog observes it.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"isolbench/internal/blk"
 	"isolbench/internal/cgroup"
@@ -88,14 +87,14 @@ type Fleet struct {
 	// and Queues.
 	Columns []*DeviceColumn
 
-	// Obs is the observability hub; nil unless Options.Observe. In a
-	// sharded fleet it is a read-only merged view over the per-shard
-	// observers (obs.NewMerged) that also records the coordinator's
-	// incidents.
+	// Obs is the observability hub; nil unless Options.Observe. On one
+	// shard it is that shard's observer; on several it is a read-only
+	// merged view over the per-shard observers (obs.NewMerged) that
+	// also records the coordinator's incidents.
 	Obs *obs.Observer
 
-	// Attr is the wait-for-whom tracker; nil unless Options.Attr. In a
-	// sharded fleet it is a read-only merged view, like Obs.
+	// Attr is the wait-for-whom tracker; nil unless Options.Attr. On
+	// several shards it is a read-only merged view, like Obs.
 	Attr *attr.Tracker
 
 	// Faults holds each device's injector when Options.Fault is
@@ -167,28 +166,26 @@ type Fleet struct {
 	// invariantChecks counts CheckInvariants calls.
 	invariantChecks int
 
-	// Sharded runtime state (Control.Shards > 1). Each device column is
-	// pinned to one shard engine; c.Eng stays the global engine, which
-	// only hosts events scheduled while no shard window is running
-	// (setup-time schedules like churn arrivals, and barrier work).
-	// Empty shardEngs means the classic single-engine runtime.
+	// Shard state. Each device column is pinned to one shard engine.
+	// With one shard that engine is c.Eng itself; with several, c.Eng
+	// is the global engine, which only hosts events scheduled while no
+	// shard window is running (setup-time schedules like churn
+	// arrivals, and barrier work).
 	shardEngs []*sim.Engine
-	colShard  []int  // device column -> shard index
-	coreShard []int  // CPU core -> owning shard (-1 until first use)
-	shardNote string // why a Shards request was clamped off ("" otherwise)
+	colShard  []int // device column -> shard index
+	coreShard []int // CPU core -> owning shard (-1 until first use)
 
-	// Per-shard observation (observed sharded fleets): shard i's
-	// observer (with its SLO monitor) and tracker run on shard i's
-	// clock and see only shard i's columns. cgShard binds each cgroup
-	// that does I/O to one shard at its first app, replayer or tenant,
-	// so per-cgroup state never spans two shards.
+	// Per-shard observation (observed fleets): shard i's observer (with
+	// its SLO monitor) and tracker run on shard i's clock and see only
+	// shard i's columns. cgShard binds each cgroup that does I/O to one
+	// shard at its first app, replayer or tenant, so per-cgroup state
+	// never spans two shards.
 	shardObs  []*obs.Observer
 	shardAttr []*attr.Tracker
 	cgShard   map[int]int
 
-	// reqPools holds the per-engine request freelists injected into
-	// every app: index by shard when sharded, a single fleet-wide pool
-	// otherwise. Requests recycle strictly within one engine's event
+	// reqPools holds the per-shard request freelists injected into
+	// every app. Requests recycle strictly within one engine's event
 	// stream, keeping reuse deterministic.
 	reqPools []*device.Pool
 
@@ -218,38 +215,30 @@ func NewFleet(opts Options) (*Fleet, error) {
 		Tree: cgroup.NewTree(),
 	}
 	c.CPU = host.NewCPU(c.Eng, opts.Cores)
-	if opts.Control.Shards > 1 {
-		if (opts.Observe && opts.ObsConfig.MaxCgroups > 0) || (opts.Attr && opts.AttrConfig.MaxVictims > 0) {
-			// The cgroup caps fold cgroups beyond the bound in the
-			// order the whole fleet first sees them, which no shard
-			// can know.
-			c.shardNote = "sharding disabled: the observer/attribution cgroup caps fold in fleet-wide first-seen order"
-		} else {
-			n := opts.Control.Shards
-			if n > opts.Devices {
-				n = opts.Devices
-			}
-			shardedFleets.Add(1)
-			c.shardEngs = make([]*sim.Engine, n)
-			for i := range c.shardEngs {
-				c.shardEngs[i] = sim.NewEngine()
-			}
-			c.coreShard = make([]int, opts.Cores)
-			for i := range c.coreShard {
-				c.coreShard[i] = -1
-			}
+	n := max(min(opts.Control.Shards, opts.Devices), 1)
+	if (opts.Observe && opts.ObsConfig.MaxCgroups > 0) || (opts.Attr && opts.AttrConfig.MaxVictims > 0) {
+		// The cgroup caps fold cgroups beyond the bound in the order
+		// the whole fleet first sees them, which no shard can know.
+		n = 1
+	}
+	// One shard runs on the fleet engine itself; more get their own.
+	c.shardEngs = []*sim.Engine{c.Eng}
+	if n > 1 {
+		c.shardEngs = make([]*sim.Engine, n)
+		for i := range c.shardEngs {
+			c.shardEngs[i] = sim.NewEngine()
 		}
 	}
-	// One request freelist per engine: apps Get at submit and Put at
-	// reap, so the steady-state working set is the fleet's aggregate
+	c.coreShard = make([]int, opts.Cores)
+	for i := range c.coreShard {
+		c.coreShard[i] = -1
+	}
+	// One request freelist per shard engine: apps Get at submit and Put
+	// at reap, so the steady-state working set is the fleet's aggregate
 	// queue depth instead of a fresh arena per app.
-	if len(c.shardEngs) > 0 {
-		c.reqPools = make([]*device.Pool, len(c.shardEngs))
-		for i := range c.reqPools {
-			c.reqPools[i] = device.NewPool()
-		}
-	} else {
-		c.reqPools = []*device.Pool{device.NewPool()}
+	c.reqPools = make([]*device.Pool, n)
+	for i := range c.reqPools {
+		c.reqPools[i] = device.NewPool()
 	}
 	if opts.Control.armed() {
 		// The same watchdog config is armed on every engine: it only
@@ -262,30 +251,23 @@ func NewFleet(opts Options) (*Fleet, error) {
 		}
 	}
 
-	if opts.Observe && len(c.shardEngs) == 0 {
-		c.Obs, c.Attr = c.newObservation(c.Eng)
-		// Every CPU core gets an occupancy ledger so submission/reap
-		// queueing can be blamed on the cgroup holding the core.
-		// (Sharded fleets give a core its ledger when it binds.)
-		for _, core := range c.CPU.Cores {
-			core.SetLedger(c.Attr.NewLedger(attr.LayerCPU))
-		}
-	} else if opts.Observe {
+	if opts.Observe {
 		for _, se := range c.shardEngs {
 			o, t := c.newObservation(se)
 			c.shardObs = append(c.shardObs, o)
 			c.shardAttr = append(c.shardAttr, t)
 		}
 		c.cgShard = make(map[int]int)
-		c.Obs = obs.NewMerged(c.Eng, opts.ObsConfig, c.shardObs)
-		c.Obs.CgroupName = c.cgroupName
-		c.Obs.EnableSLO(opts.SLO)
-		if opts.Attr {
-			c.Attr = attr.NewMerged(c.shardAttr)
-			c.Obs.Attr = c.Attr
+		c.Obs, c.Attr = c.shardObs[0], c.shardAttr[0]
+		if n > 1 {
+			c.Obs = obs.NewMerged(c.Eng, opts.ObsConfig, c.shardObs)
+			c.Obs.CgroupName = c.cgroupName
+			c.Obs.EnableSLO(opts.SLO)
+			if opts.Attr {
+				c.Attr = attr.NewMerged(c.shardAttr)
+				c.Obs.Attr = c.Attr
+			}
 		}
-	}
-	if c.Obs != nil {
 		c.Tree.SetStatProvider(c.Obs)
 	}
 
@@ -330,11 +312,10 @@ func (c *Fleet) cgroupName(id int) string {
 }
 
 // obsFor returns the observer and tracker device column i's hooks feed:
-// the column's shard's when the fleet is sharded, the fleet's own
-// otherwise.
+// its shard's, or nil when the fleet is not observed.
 func (c *Fleet) obsFor(i int) (*obs.Observer, *attr.Tracker) {
-	if len(c.shardObs) == 0 {
-		return c.Obs, c.Attr
+	if c.shardObs == nil {
+		return nil, nil
 	}
 	s := c.colShard[i]
 	return c.shardObs[s], c.shardAttr[s]
@@ -366,11 +347,7 @@ func (c *Fleet) addColumn(i int) error {
 			return err
 		}
 	}
-	shard := 0
-	if n := len(c.shardEngs); n > 0 {
-		shard = i % n
-	}
-	c.colShard = append(c.colShard, shard)
+	c.colShard = append(c.colShard, i%len(c.shardEngs))
 	eng := c.EngFor(i)
 	ob, at := c.obsFor(i)
 	dev, err := device.New(eng, opts.Profile, opts.Seed*1000003+uint64(i)+1)
@@ -467,31 +444,19 @@ func (c *Fleet) AddDevice() (int, error) {
 func (c *Fleet) Column(i int) *DeviceColumn { return c.Columns[i] }
 
 // EngFor returns the engine that device column i's events run on: the
-// column's shard engine when the fleet is sharded, the fleet engine
-// otherwise. Components that schedule per-device runtime events (extra
-// managers, replayers) must use this engine, not c.Eng.
+// column's shard engine, which is c.Eng on a one-shard fleet.
+// Components that schedule per-device runtime events (extra managers,
+// replayers) must use this engine, not c.Eng.
 func (c *Fleet) EngFor(i int) *sim.Engine {
-	if len(c.shardEngs) > 0 && i < len(c.colShard) {
+	if i < len(c.colShard) {
 		return c.shardEngs[c.colShard[i]]
 	}
 	return c.Eng
 }
 
-// Shards reports the effective shard count: 0 for the classic
-// single-engine runtime, >= 1 when the sharded runtime is active.
+// Shards reports the effective shard count: min(Control.Shards,
+// Devices), at least 1, and 1 whenever an obs/attr cgroup cap is set.
 func (c *Fleet) Shards() int { return len(c.shardEngs) }
-
-// shardedFleets counts the fleets built on the sharded runtime.
-var shardedFleets atomic.Int64
-
-// ShardedFleets reports how many fleets this process has built on the
-// sharded runtime, so a caller that only sees an experiment's output
-// can confirm that a -shards run really sharded.
-func ShardedFleets() int64 { return shardedFleets.Load() }
-
-// ShardNote reports why a Control.Shards request was clamped off (""
-// when sharding is active or was never requested).
-func (c *Fleet) ShardNote() string { return c.shardNote }
 
 // NewGroup creates a tenant process group under the benchmark slice.
 func (c *Fleet) NewGroup(name string) (*cgroup.Group, error) {
@@ -506,9 +471,9 @@ func (c *Fleet) NewGroup(name string) (*cgroup.Group, error) {
 	return g, nil
 }
 
-// AddApp creates an app bound to device dev and registers it. In a
-// sharded fleet the app runs on its device column's shard engine (see
-// bindShard for the core and cgroup rules).
+// AddApp creates an app bound to device dev and registers it. The app
+// runs on its device column's shard engine (see bindShard for the core
+// and cgroup rules).
 func (c *Fleet) AddApp(spec workload.Spec, dev int) (*workload.App, error) {
 	pool, at, err := c.bindShard("app", spec.Name, dev, spec.Core, spec.Group)
 	if err != nil {
@@ -551,21 +516,17 @@ func (c *Fleet) AddReplay(src trace.Source, cfg workload.ReplayConfig, dev int) 
 
 // bindShard checks and records the shard bindings an app or replayer
 // (kind, name) on device dev needs, and returns the request pool and
-// attribution tracker it must use. In a sharded fleet the core binds to
-// the device's shard on first use: a core cannot serve two shards
-// (their completion events would interleave across engines). In an
-// observed sharded fleet the cgroup binds the same way, so its
-// io.stat, PSI, SLO windows and blame rows are all kept by one shard.
-// A placement that breaks either binding is rejected, and nothing is
-// bound when it is.
+// attribution tracker it must use. The core binds to the device's shard
+// on first use: a core cannot serve two shards (their completion events
+// would interleave across engines). In an observed fleet the cgroup
+// binds the same way, so its io.stat, PSI, SLO windows and blame rows
+// are all kept by one shard. A placement that breaks either binding is
+// rejected, and nothing is bound when it is.
 func (c *Fleet) bindShard(kind, name string, dev, core int, g *cgroup.Group) (*device.Pool, *attr.Tracker, error) {
 	if dev < 0 || dev >= len(c.Queues) {
 		return nil, nil, fmt.Errorf("core: device index %d out of range", dev)
 	}
 	_, at := c.obsFor(dev)
-	if len(c.shardEngs) == 0 {
-		return c.reqPools[0], at, nil
-	}
 	shard := c.colShard[dev]
 	if core < 0 {
 		core = -core
@@ -587,8 +548,9 @@ func (c *Fleet) bindShard(kind, name string, dev, core int, g *cgroup.Group) (*d
 	if c.coreShard[core] < 0 {
 		cpu := c.CPU.Cores[core]
 		cpu.Rebind(c.shardEngs[shard])
-		// The core's occupancy ledger comes from its shard's tracker
-		// (nil when attribution is off).
+		// The core's occupancy ledger, which blames submission/reap
+		// queueing on the cgroup holding the core, comes from its
+		// shard's tracker (nil when attribution is off).
 		cpu.SetLedger(at.NewLedger(attr.LayerCPU))
 		c.coreShard[core] = shard
 	}
@@ -664,11 +626,10 @@ func (c *Fleet) RunTo(t sim.Time) error {
 	return nil
 }
 
-// advance moves all virtual clocks to t: a plain RunUntil on the
-// single-engine runtime, the conservative-window barrier loop when
-// sharded.
+// advance moves all virtual clocks to t: a plain RunUntil on one
+// shard, the conservative-window barrier loop on several.
 func (c *Fleet) advance(t sim.Time) {
-	if len(c.shardEngs) == 0 {
+	if len(c.shardEngs) == 1 {
 		c.Eng.RunUntil(t)
 		return
 	}
@@ -715,28 +676,17 @@ func (c *Fleet) runSharded(t sim.Time) {
 // (tenant teardown's global half) are queued and applied at the
 // barrier by the coordinator.
 func (c *Fleet) runWindows(t sim.Time, inclusive bool) {
-	run := func(e *sim.Engine) {
-		if inclusive {
-			e.RunUntil(t)
-		} else {
-			e.RunBefore(t)
-		}
-	}
-	if len(c.shardEngs) == 1 {
-		// One shard still runs the barrier protocol (so single-device
-		// fleets exercise it), just without goroutines.
-		c.winActive = true
-		run(c.shardEngs[0])
-		c.winActive = false
-		return
-	}
 	c.winActive = true
 	var wg sync.WaitGroup
 	for _, se := range c.shardEngs {
 		wg.Add(1)
 		go func(e *sim.Engine) {
 			defer wg.Done()
-			run(e)
+			if inclusive {
+				e.RunUntil(t)
+			} else {
+				e.RunBefore(t)
+			}
 		}(se)
 	}
 	wg.Wait()

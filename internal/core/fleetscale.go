@@ -39,7 +39,8 @@ type FleetScaleConfig struct {
 
 	// MaxCgroups bounds per-cgroup observer accounting when the run
 	// observes (paranoid mode); default 64. Attribution rows are
-	// bounded to the same count.
+	// bounded to the same count. The caps fold cgroups in fleet-wide
+	// order, so an observed fleetscale fleet always runs on one shard.
 	MaxCgroups int
 
 	Seed    uint64

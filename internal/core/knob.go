@@ -78,8 +78,11 @@ type knobSpec struct {
 	// when set, replaces the sweep's default warmup.
 	tradeoff func(cfg TradeoffConfig) []knobSetting
 	warmup   sim.Duration
-	// fig2 applies the knob's Fig. 2 panel to apps A, B and C.
-	fig2 func(weighted bool, gs [3]*cgroup.Group) error
+	// fig2 applies the knob's Fig. 2 panel to apps A, B and C;
+	// fig2Weighted marks knobs with a weighted panel beside the uniform
+	// one.
+	fig2         func(weighted bool, gs [3]*cgroup.Group) error
+	fig2Weighted bool
 	// neutralize and overhead keep the knob's machinery running
 	// without throttling for D1: per group, and per fleet.
 	neutralize func(g *cgroup.Group) error
@@ -149,6 +152,7 @@ var knobSpecs = []knobSpec{
 			return out
 		},
 		// Fig. 2c (uniform) / 2d (weights).
+		fig2Weighted: true,
 		fig2: func(weighted bool, gs [3]*cgroup.Group) error {
 			if weighted {
 				return setEach(gs, "io.bfq.weight", "400", "200", "100")
@@ -268,6 +272,7 @@ var knobSpecs = []knobSpec{
 			return out
 		},
 		// Fig. 2g (uniform) / 2h (weights); P95 100 us target.
+		fig2Weighted: true,
 		fig2: func(weighted bool, gs [3]*cgroup.Group) error {
 			if weighted {
 				return setEach(gs, "io.weight", "800", "200", "50")
@@ -411,3 +416,7 @@ func ParseKnob(s string) (Knob, error) {
 // UsesScheduler reports whether the knob is an I/O scheduler
 // configuration rather than a cgroup controller.
 func (k Knob) UsesScheduler() bool { return k.spec().sched != nil }
+
+// WeightedFig2 reports whether the knob's Fig. 2 illustration has a
+// weighted panel beside the uniform one.
+func (k Knob) WeightedFig2() bool { return k.spec().fig2Weighted }

@@ -59,8 +59,8 @@ func shardFleetRunWith(t *testing.T, opts Options, shards int, setup func(*Tenan
 // exactly one of the sharded fleet's engines.
 func checkShardIdentity(t *testing.T, single, sharded Result, scl, pcl *Fleet) {
 	t.Helper()
-	if got := scl.Shards(); got != 0 {
-		t.Fatalf("unsharded fleet reports %d shards", got)
+	if got := scl.Shards(); got != 1 {
+		t.Fatalf("unsharded fleet reports %d shards, want 1", got)
 	}
 	if got := pcl.Shards(); got != 4 {
 		t.Fatalf("sharded fleet reports %d shards, want 4", got)
@@ -135,39 +135,6 @@ func TestShardedTimerIdentity(t *testing.T) {
 			t.Fatalf("lossy fleet saw %d timeouts, %d retries; the watchdogs never fired", timeouts, retries)
 		}
 	})
-}
-
-// TestShardedSingleDevice pins that Shards > 1 on a one-device fleet
-// degrades to one shard engine and still matches the classic runtime —
-// the barrier machinery must be an identity when the global engine has
-// no events of its own.
-func TestShardedSingleDevice(t *testing.T) {
-	run := func(shards int) Result {
-		cl, err := NewFleet(Options{
-			Knob: KnobBFQ, Devices: 1, Cores: 2, Seed: 9,
-			Control: RunControl{Shards: shards},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			spec := churnSpec("")
-			spec.Apps[0].Core = i
-			if _, err := cl.AddTenant(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.RunPhase(5*sim.Millisecond, 25*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if shards > 1 && cl.Shards() != 1 {
-			t.Fatalf("one-device fleet got %d shards, want min(shards, devices) = 1", cl.Shards())
-		}
-		return cl.Result()
-	}
-	if a, b := run(0), run(8); !reflect.DeepEqual(a, b) {
-		t.Fatalf("single-device sharded run diverges:\n%+v\n%+v", a, b)
-	}
 }
 
 // TestShardedChurnIdentity runs the full fleetscale churn sweep —
@@ -283,8 +250,8 @@ func TestShardedObserveIdentity(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				single, scl := runObserved(t, k, fp, 0)
 				sharded, pcl := runObserved(t, k, fp, 2)
-				if scl.Shards() != 0 || pcl.Shards() != 2 {
-					t.Fatalf("shards = %d and %d, want 0 and 2 (%s)", scl.Shards(), pcl.Shards(), pcl.ShardNote())
+				if scl.Shards() != 1 || pcl.Shards() != 2 {
+					t.Fatalf("shards = %d and %d, want 1 and 2", scl.Shards(), pcl.Shards())
 				}
 				if pcl.invariantChecks == 0 {
 					t.Fatal("the paranoid suite never ran on the sharded fleet")
@@ -366,21 +333,25 @@ func TestShardedCgroupConflict(t *testing.T) {
 	}
 }
 
-// TestShardedObserveCapFallsBack pins the one remaining fallback: the
-// observer's and the tracker's cgroup caps fold in fleet-wide order,
-// so a capped fleet runs on the single engine and says why.
+// TestShardedObserveCapFallsBack pins when a Shards request yields one
+// shard: the observer's and the tracker's cgroup caps fold in
+// fleet-wide order, and a one-device fleet has one column to shard. A
+// one-shard fleet runs on Fleet.Eng itself, so it is the single-engine
+// run by construction.
 func TestShardedObserveCapFallsBack(t *testing.T) {
 	for _, opts := range []Options{
-		{Observe: true, ObsConfig: obs.Config{MaxCgroups: 4}},
-		{Attr: true, AttrConfig: attr.Config{MaxVictims: 4}},
+		{Devices: 2, Observe: true, ObsConfig: obs.Config{MaxCgroups: 4}},
+		{Devices: 2, Attr: true, AttrConfig: attr.Config{MaxVictims: 4}},
+		{Devices: 1, Attr: true},
 	} {
-		opts.Knob, opts.Devices, opts.Control = KnobIOCost, 2, RunControl{Shards: 2}
+		opts.Knob, opts.Control = KnobIOCost, RunControl{Shards: 8}
 		cl, err := NewFleet(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cl.Shards() != 0 || !strings.Contains(cl.ShardNote(), "cgroup caps") {
-			t.Fatalf("capped fleet: %d shards, note %q", cl.Shards(), cl.ShardNote())
+		if cl.Shards() != 1 || cl.EngFor(0) != cl.Eng || cl.Obs != cl.shardObs[0] || cl.Attr != cl.shardAttr[0] {
+			t.Fatalf("%d-device fleet: %d shards, want one shard on the fleet engine, observer and tracker",
+				opts.Devices, cl.Shards())
 		}
 	}
 }

@@ -181,8 +181,8 @@ func shardedReplayStats(t *testing.T, shards int) []workload.Stats {
 	if err := cl.RunPhase(50*sim.Millisecond, 300*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if shards > 1 && cl.Shards() != shards {
-		t.Fatalf("sharding clamped off: %s", cl.ShardNote())
+	if want := max(shards, 1); cl.Shards() != want {
+		t.Fatalf("fleet runs %d shards, want %d", cl.Shards(), want)
 	}
 	out := make([]workload.Stats, 2)
 	for i, rp := range reps {
@@ -192,13 +192,13 @@ func shardedReplayStats(t *testing.T, shards int) []workload.Stats {
 }
 
 // TestReplayShardedIdentity: -shards is a performance knob, never an
-// output knob — replays streaming on shard engines must bank the same
-// stats as the classic single-engine runtime.
+// output knob — replays streaming on two shard engines must bank the
+// same stats as on one.
 func TestReplayShardedIdentity(t *testing.T) {
-	classic := shardedReplayStats(t, 0)
+	single := shardedReplayStats(t, 0)
 	sharded := shardedReplayStats(t, 2)
-	if !reflect.DeepEqual(classic, sharded) {
-		t.Fatalf("sharded replay diverged from the classic runtime:\nclassic: %+v\nsharded: %+v", classic, sharded)
+	if !reflect.DeepEqual(single, sharded) {
+		t.Fatalf("sharded replay diverged from the single-engine run:\nsingle:  %+v\nsharded: %+v", single, sharded)
 	}
 }
 

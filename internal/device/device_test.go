@@ -1,6 +1,8 @@
 package device
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"isolbench/internal/sim"
@@ -224,16 +226,21 @@ func TestProfileValidation(t *testing.T) {
 }
 
 func TestProfileByName(t *testing.T) {
-	p, err := ProfileByName("optane")
-	if err != nil || p.Name != "optane" {
-		t.Fatalf("optane lookup failed: %v %q", err, p.Name)
+	if got := ProfileNames(); !reflect.DeepEqual(got, []string{"flash980", "optane"}) {
+		t.Fatalf("ProfileNames() = %v", got)
 	}
-	p, err = ProfileByName("flash980")
-	if err != nil || p.Name != "flash980" {
-		t.Fatalf("flash980 lookup failed: %v %q", err, p.Name)
+	for _, name := range ProfileNames() {
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != name {
+			t.Fatalf("%s lookup failed: %v %q", name, err, p.Name)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if _, err := ProfileByName("whatever"); err == nil {
-		t.Fatal("unknown profile name accepted")
+	_, err := ProfileByName("whatever")
+	if err == nil || !strings.Contains(err.Error(), "known: flash980, optane") {
+		t.Fatalf("unknown profile name: err = %v, want one listing the known profiles", err)
 	}
 	if _, err := ProfileByName(""); err == nil {
 		t.Fatal("empty profile name accepted")

@@ -12,6 +12,7 @@ package device
 
 import (
 	"fmt"
+	"strings"
 
 	"isolbench/internal/sim"
 )
@@ -191,19 +192,28 @@ func OptaneProfile() Profile {
 	}
 }
 
+// builtinProfiles holds the built-in profiles' constructors, in the
+// order ProfileNames lists them; each profile's Name is its lookup key.
+var builtinProfiles = []func() Profile{Flash980Profile, OptaneProfile}
+
 // ProfileByName returns a named built-in profile. Unknown names are an
 // error — a typoed -profile must fail loudly, not silently measure the
 // wrong device.
 func ProfileByName(name string) (Profile, error) {
-	switch name {
-	case "flash980":
-		return Flash980Profile(), nil
-	case "optane":
-		return OptaneProfile(), nil
+	for _, mk := range builtinProfiles {
+		if p := mk(); p.Name == name {
+			return p, nil
+		}
 	}
-	return Profile{}, fmt.Errorf("device: unknown profile %q (known: %s)", name, KnownProfiles())
+	return Profile{}, fmt.Errorf("device: unknown profile %q (known: %s)", name, strings.Join(ProfileNames(), ", "))
 }
 
-// KnownProfiles lists the built-in profile names accepted by
+// ProfileNames lists the built-in profile names accepted by
 // ProfileByName.
-func KnownProfiles() string { return "flash980, optane" }
+func ProfileNames() []string {
+	out := make([]string, len(builtinProfiles))
+	for i, mk := range builtinProfiles {
+		out[i] = mk().Name
+	}
+	return out
+}
