@@ -57,8 +57,8 @@ func (p *Pool) Get() *Request {
 
 // Put resets r and returns it to the freelist. The caller must not
 // retain r afterwards. Putting a request whose Watchdog is still armed
-// panics: the engine's timer heap points into the request, so resetting
-// or reusing it would corrupt the heap.
+// panics: the engine's timer slot table points into the request, so
+// resetting or reusing it would corrupt the timer heap.
 func (p *Pool) Put(r *Request) {
 	if r.Watchdog.Pending() {
 		panic(fmt.Sprintf("device: pooled request %d with its watchdog still armed", r.ID))

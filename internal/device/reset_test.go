@@ -110,9 +110,9 @@ func TestPoolRecyclesReset(t *testing.T) {
 	}
 }
 
-// TestPoolPutRejectsArmedWatchdog: the engine's timer heap points into
-// a request whose watchdog is pending, so pooling (and so resetting) it
-// would corrupt the heap. Put must refuse loudly, and accept the same
+// TestPoolPutRejectsArmedWatchdog: the engine's timer slot table points
+// into a request whose watchdog is pending, so pooling (and so
+// resetting) it would corrupt the timer heap. Put must refuse loudly, and accept the same
 // request once the watchdog is cancelled.
 func TestPoolPutRejectsArmedWatchdog(t *testing.T) {
 	eng := sim.NewEngine()

@@ -124,3 +124,27 @@ func BenchmarkEngineTimer(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineTimerDeep measures the timer heap at fleet depth: 512
+// armed timers, where the root fires and its callback re-arms it a
+// pseudo-random distance ahead, as the io.cost release timers of a
+// 1000-tenant fleet do. One op is one Step. Must report 0 allocs/op.
+func BenchmarkEngineTimerDeep(b *testing.B) {
+	const timers = 512
+	e := NewEngine()
+	tms := make([]Timer, timers)
+	var k uint64
+	var rearm Callback
+	rearm = func(arg any) {
+		k = k*6364136223846793005 + 1442695040888963407
+		e.Reschedule(arg.(*Timer), e.Now().Add(Duration(4000+k>>54)), rearm, arg)
+	}
+	for i := range tms {
+		e.Reschedule(&tms[i], Time(i*8), rearm, &tms[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

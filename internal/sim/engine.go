@@ -53,17 +53,24 @@ type payload struct {
 // never negative: the clock starts at 0, never moves backwards, and
 // AtCall and Reschedule clamp every deadline to now.
 //
-// Timers (see Timer) sit in a second, indexed binary heap beside the
-// event heap; the engine always runs whichever head is earlier in
-// (at, seq). Keeping them apart leaves the plain event path free of
-// the back-pointer an in-place reschedule needs.
+// Armed timers (see Timer) sit in a second heap of the same shape: a
+// 4-ary heap of eventKeys whose slot indexes the timer slot table, plus
+// a dense back-index tpos from each timer slot to its key's heap index,
+// which Reschedule and Cancel use to find the key. Both heaps share one
+// sift implementation (siftUp, siftDown); the engine always runs
+// whichever head is earlier in (at, seq). Keeping them apart leaves the
+// plain event path free of the position updates an in-place reschedule
+// needs.
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []eventKey // 4-ary min-heap, root at index 0
-	slots  []payload  // payloads of pending events, indexed by eventKey.slot
-	free   []int      // unused slots, reused last-freed first
-	timers []*Timer   // binary min-heap of armed timers, root at index 0
+	events []eventKey  // 4-ary min-heap, root at index 0
+	slots  []payload   // payloads of pending events, indexed by eventKey.slot
+	free   []int       // unused slots, reused last-freed first
+	timers []eventKey  // 4-ary min-heap of armed timers, root at index 0
+	tpos   []int       // heap index in timers of each timer slot's key
+	tslots []timerSlot // armed timers, indexed by eventKey.slot in timers
+	tfree  []int       // unused timer slots, reused last-freed first
 	nRun   uint64
 
 	wd      *watchdogState // nil when no watchdog is armed
@@ -94,41 +101,36 @@ func before(a, b *eventKey) uint64 {
 	return borrow
 }
 
-// push inserts k, sifting the hole up instead of swapping: each level
-// does one compare and one move.
-func (e *Engine) push(k eventKey) {
-	h := append(e.events, eventKey{})
-	i := len(h) - 1
+// siftUp stores k in heap h, starting at the hole i and moving the hole
+// toward the root instead of swapping: each level does one compare and
+// one move. When pos is non-nil (the timer heap), it records the heap
+// index of every key it moves in pos[key.slot]; the caller records k's
+// own index, which siftUp returns.
+func siftUp(h []eventKey, pos []int, i int, k eventKey) int {
 	for i > 0 {
 		p := (i - 1) >> 2
 		if before(&k, &h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
+		if pos != nil {
+			pos[h[i].slot] = i
+		}
 		i = p
 	}
 	h[i] = k
-	e.events = h
+	return i
 }
 
-// pop removes and returns the minimum key. The last key is sifted down
-// into the root hole; moving it (rather than swapping at each level)
-// keeps the common pop-then-push pattern at one write per level plus
-// the final placement. Where a node has all four children, the minimum
-// is picked as a tournament of borrow bits with no data-dependent
-// branch: the child order is random, so a branch there mispredicts
-// about every other time.
-func (e *Engine) pop() eventKey {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.events = h
-	if n == 0 {
-		return top
-	}
-	i := 0
+// siftDown stores k in heap h, starting at the hole i and moving the
+// hole toward the leaves: one write per level plus the final placement,
+// which keeps the common pop-then-push pattern cheap. Where a node has
+// all four children, the minimum is picked as a tournament of borrow
+// bits with no data-dependent branch: the child order is random, so a
+// branch there mispredicts about every other time. pos and the result
+// are as in siftUp.
+func siftDown(h []eventKey, pos []int, i int, k eventKey) int {
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c+4 > n {
@@ -140,8 +142,11 @@ func (e *Engine) pop() eventKey {
 						m = j
 					}
 				}
-				if before(&h[m], &last) != 0 {
+				if before(&h[m], &k) != 0 {
 					h[i] = h[m]
+					if pos != nil {
+						pos[h[i].slot] = i
+					}
 					i = m
 				}
 			}
@@ -149,17 +154,49 @@ func (e *Engine) pop() eventKey {
 		}
 		// a and b are the winners of children 0-1 and 2-3, m the
 		// overall one; indexing the array with &3 needs no bounds check.
-		k := (*[4]eventKey)(h[c : c+4])
-		a := int(before(&k[1], &k[0]))
-		b := 2 + int(before(&k[3], &k[2]))
-		m := a ^ ((a ^ b) & -int(before(&k[b&3], &k[a&3])))
-		if before(&k[m&3], &last) == 0 {
+		q := (*[4]eventKey)(h[c : c+4])
+		a := int(before(&q[1], &q[0]))
+		b := 2 + int(before(&q[3], &q[2]))
+		m := a ^ ((a ^ b) & -int(before(&q[b&3], &q[a&3])))
+		if before(&q[m&3], &k) == 0 {
 			break
 		}
-		h[i] = k[m&3]
+		h[i] = q[m&3]
+		if pos != nil {
+			pos[h[i].slot] = i
+		}
 		i = c + m
 	}
-	h[i] = last
+	h[i] = k
+	return i
+}
+
+// fix restores heap order after the key at index i became k and
+// returns k's new index; pos is as in siftUp.
+func fix(h []eventKey, pos []int, i int, k eventKey) int {
+	if i > 0 && before(&k, &h[(i-1)>>2]) != 0 {
+		return siftUp(h, pos, i, k)
+	}
+	return siftDown(h, pos, i, k)
+}
+
+// push inserts k into the event heap.
+func (e *Engine) push(k eventKey) {
+	e.events = append(e.events, eventKey{})
+	siftUp(e.events, nil, len(e.events)-1, k)
+}
+
+// pop removes and returns the event heap's minimum key; the last key is
+// sifted down into the root hole.
+func (e *Engine) pop() eventKey {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	e.events = h[:n]
+	if n > 0 {
+		siftDown(h[:n], nil, 0, last)
+	}
 	return top
 }
 
@@ -207,17 +244,16 @@ func (e *Engine) AfterCall(d Duration, call Callback, arg any) {
 	e.AtCall(e.now.Add(d), call, arg)
 }
 
-// next reports the earliest pending entry's time; tm is non-nil when
+// next reports the earliest pending entry's time; timer is true when
 // that entry is an armed timer rather than a plain event.
-func (e *Engine) next() (at Time, tm *Timer, ok bool) {
-	if len(e.timers) > 0 && (len(e.events) == 0 || e.timerFirst()) {
-		tm = e.timers[0]
-		return tm.at, tm, true
+func (e *Engine) next() (at Time, timer, ok bool) {
+	if len(e.timers) > 0 && (len(e.events) == 0 || before(&e.timers[0], &e.events[0]) != 0) {
+		return e.timers[0].at, true, true
 	}
 	if len(e.events) == 0 {
-		return 0, nil, false
+		return 0, false, false
 	}
-	return e.events[0].at, nil, true
+	return e.events[0].at, false, true
 }
 
 // Step runs the single earliest pending event. It reports whether an
@@ -226,15 +262,15 @@ func (e *Engine) Step() bool {
 	if e.stopErr != nil {
 		return false
 	}
-	at, tm, ok := e.next()
+	at, timer, ok := e.next()
 	if !ok || (e.wd != nil && !e.admit(at)) {
 		return false
 	}
 	e.now = at
 	e.nRun++
-	if tm != nil {
-		e.removeTimer(0)
-		tm.call(tm.arg)
+	if timer {
+		p := e.removeTimer(0)
+		p.call(p.arg)
 		return true
 	}
 	slot := e.pop().slot

@@ -8,30 +8,36 @@ import "fmt"
 // no-op. The zero value is an unarmed timer; embed it in the
 // long-lived object whose deadline it tracks (a pipe, a throttled
 // group, an in-flight request). A pending timer is referenced by the
-// engine's timer heap and must not be copied or reset until it fires
-// or is cancelled.
+// engine's timer slot table and must not be copied or reset until it
+// fires or is cancelled.
 //
-// Timers live in their own small indexed heap beside the plain event
-// heap, so the plain path carries no back-pointer. Reschedule draws its
-// sequence number from the same counter as AtCall, so an armed timer
-// fires in exactly the (at, seq) slot an AtCall made at the same
-// moment would occupy.
+// An armed timer holds a slot in its engine's timer slot table, which
+// keeps the callback, its argument and a pointer back to the Timer; the
+// timer heap orders eventKeys naming those slots, so sifting never
+// touches a Timer. Reschedule draws its sequence number from the same
+// counter as AtCall, so an armed timer fires in exactly the (at, seq)
+// slot an AtCall made at the same moment would occupy.
 type Timer struct {
-	at   Time
-	seq  uint64
-	call Callback
-	arg  any
 	eng  *Engine // engine that armed the timer
-	idx  int     // 1-based slot in eng.timers; 0 = not pending
+	slot int     // 1 + index in eng.tslots while pending; 0 = not pending
+}
+
+// timerSlot is what an armed timer runs, call(arg), and the Timer to
+// disarm when it fires or is cancelled.
+type timerSlot struct {
+	payload
+	tm *Timer
 }
 
 // Pending reports whether the timer has an event waiting to fire.
-func (tm *Timer) Pending() bool { return tm.idx != 0 }
+func (tm *Timer) Pending() bool { return tm.slot != 0 }
 
 // Reschedule arms tm to run call(arg) at virtual time t, replacing any
-// deadline it already had. Scheduling in the past runs the timer at
-// the current time. A timer belongs to the engine that first armed it;
-// arming it from another engine would corrupt both heaps and panics.
+// deadline it already had: an armed timer's key moves in place, found
+// through tpos, and an unarmed one takes a free slot. Scheduling in the
+// past runs the timer at the current time. A timer belongs to the
+// engine that first armed it; arming it from another engine would
+// corrupt both heaps and panics.
 func (e *Engine) Reschedule(tm *Timer, t Time, call Callback, arg any) {
 	if tm.eng != e {
 		e.adopt(tm)
@@ -40,25 +46,36 @@ func (e *Engine) Reschedule(tm *Timer, t Time, call Callback, arg any) {
 		t = e.now
 	}
 	e.seq++
-	tm.at, tm.seq, tm.call, tm.arg = t, e.seq, call, arg
-	if tm.idx == 0 {
-		e.timers = append(e.timers, tm)
-		tm.idx = len(e.timers)
-		e.timerUp(tm.idx - 1)
+	if tm.slot != 0 {
+		slot := tm.slot - 1
+		e.tslots[slot].payload = payload{call: call, arg: arg}
+		e.tpos[slot] = fix(e.timers, e.tpos, e.tpos[slot], eventKey{at: t, seq: e.seq, slot: slot})
 		return
 	}
-	e.timerFix(tm.idx - 1)
+	var slot int
+	if n := len(e.tfree) - 1; n >= 0 {
+		slot = e.tfree[n]
+		e.tfree = e.tfree[:n]
+	} else {
+		slot = len(e.tslots)
+		e.tslots = append(e.tslots, timerSlot{})
+		e.tpos = append(e.tpos, 0)
+	}
+	e.tslots[slot] = timerSlot{payload: payload{call: call, arg: arg}, tm: tm}
+	tm.slot = slot + 1
+	e.timers = append(e.timers, eventKey{})
+	e.tpos[slot] = siftUp(e.timers, e.tpos, len(e.timers)-1, eventKey{at: t, seq: e.seq, slot: slot})
 }
 
 // Cancel disarms tm. Cancelling an unarmed timer is a no-op.
 func (e *Engine) Cancel(tm *Timer) {
-	if tm.idx == 0 {
+	if tm.slot == 0 {
 		return
 	}
 	if tm.eng != e {
 		e.adopt(tm)
 	}
-	e.removeTimer(tm.idx - 1)
+	e.removeTimer(e.tpos[tm.slot-1])
 }
 
 // adopt binds tm to e, panicking when another engine armed it first:
@@ -71,87 +88,22 @@ func (e *Engine) adopt(tm *Timer) {
 	tm.eng = e
 }
 
-// timerLess orders timers by (at, seq), like the event heap. The
-// event heap's branchless borrow compare measured no faster here, so
-// the timer heap keeps plain branches.
-func timerLess(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// timerFirst reports whether the timer heap's head precedes the event
-// heap's head; both must be non-empty.
-func (e *Engine) timerFirst() bool {
-	tm, ev := e.timers[0], &e.events[0]
-	if tm.at != ev.at {
-		return tm.at < ev.at
-	}
-	return tm.seq < ev.seq
-}
-
-// removeTimer deletes the timer at heap slot i and marks it unarmed.
-func (e *Engine) removeTimer(i int) {
+// removeTimer deletes the key at timer-heap index i, disarms its Timer
+// and frees its slot, and returns what the timer would have run. The
+// last key fills the hole and sifts whichever way restores order.
+func (e *Engine) removeTimer(i int) payload {
 	h := e.timers
+	slot := h[i].slot
 	n := len(h) - 1
-	h[i].idx = 0
 	last := h[n]
-	h[n] = nil
 	e.timers = h[:n]
 	if i < n {
-		h[i] = last
-		last.idx = i + 1
-		e.timerFix(i)
+		e.tpos[last.slot] = fix(h[:n], e.tpos, i, last)
 	}
-}
-
-// timerFix restores heap order after slot i's key changed.
-func (e *Engine) timerFix(i int) {
-	if !e.timerUp(i) {
-		e.timerDown(i)
-	}
-}
-
-// timerUp sifts slot i toward the root and reports whether it moved.
-func (e *Engine) timerUp(i int) bool {
-	h := e.timers
-	tm := h[i]
-	start := i
-	for i > 0 {
-		p := (i - 1) >> 1
-		if !timerLess(tm, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].idx = i + 1
-		i = p
-	}
-	h[i] = tm
-	tm.idx = i + 1
-	return i != start
-}
-
-// timerDown sifts slot i toward the leaves.
-func (e *Engine) timerDown(i int) {
-	h := e.timers
-	n := len(h)
-	tm := h[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && timerLess(h[c+1], h[c]) {
-			c++
-		}
-		if !timerLess(h[c], tm) {
-			break
-		}
-		h[i] = h[c]
-		h[i].idx = i + 1
-		i = c
-	}
-	h[i] = tm
-	tm.idx = i + 1
+	s := &e.tslots[slot]
+	p := s.payload
+	s.tm.slot = 0
+	*s = timerSlot{} // release the callback, arg and Timer to the GC
+	e.tfree = append(e.tfree, slot)
+	return p
 }

@@ -26,10 +26,12 @@ type refArm struct {
 // the heap to pop as no-ops. Both draw the same random stream as long
 // as their live callbacks fire in the same order.
 type timerScript struct {
+	t      *testing.T
 	e      *Engine
 	rng    *RNG
 	ref    bool
 	budget int
+	span   int // deadlines fall up to span ticks ahead
 	log    []firing
 
 	timers []Timer  // real model
@@ -41,12 +43,15 @@ type timerScript struct {
 	armed  []bool
 	nextID int
 
+	maxArmed    int // real model: deepest timer heap seen
+	deepCancels int // real model: Cancels of a key below the root
+
 	plainCB, timerCB, refCB Callback
 }
 
 func newTimerScript(seed uint64, ref bool, nTimers, budget int) *timerScript {
 	s := &timerScript{
-		e: NewEngine(), rng: NewRNG(seed), ref: ref, budget: budget,
+		e: NewEngine(), rng: NewRNG(seed), ref: ref, budget: budget, span: max(60, 4*nTimers),
 		timers: make([]Timer, nTimers), gens: make([]uint64, nTimers),
 		plain: make(map[int]Time), due: make([]Time, nTimers), armed: make([]bool, nTimers),
 	}
@@ -82,7 +87,7 @@ func (s *timerScript) delay() Duration {
 	case 1:
 		return -Duration(s.rng.Intn(20) + 1)
 	}
-	return Duration(s.rng.Intn(60) + 1)
+	return Duration(s.rng.Intn(s.span) + 1)
 }
 
 func (s *timerScript) clamp(t Time) Time {
@@ -134,9 +139,55 @@ func (s *timerScript) op() {
 			}
 			s.gens[j]++
 		} else {
+			if tm := &s.timers[j]; tm.Pending() && s.e.tpos[tm.slot-1] > 0 {
+				s.deepCancels++
+			}
 			s.e.Cancel(&s.timers[j])
 		}
 		s.armed[j] = false
+	}
+	if !s.ref {
+		s.checkTimerHeap()
+	}
+}
+
+// checkTimerHeap is the white-box check of the timer heap: every key
+// is no earlier than its parent, tpos maps every key's slot back to its
+// heap index, and every armed Timer owns a slot that points back at it
+// and whose key is in the heap.
+func (s *timerScript) checkTimerHeap() {
+	s.t.Helper()
+	e := s.e
+	h := e.timers
+	s.maxArmed = max(s.maxArmed, len(h))
+	for i, k := range h {
+		if i > 0 && before(&k, &h[(i-1)>>2]) != 0 {
+			s.t.Fatalf("timer heap order: key %d %+v precedes its parent %+v", i, k, h[(i-1)>>2])
+		}
+		if e.tpos[k.slot] != i {
+			s.t.Fatalf("tpos[%d] = %d, key is at heap index %d", k.slot, e.tpos[k.slot], i)
+		}
+	}
+	armed := 0
+	for j := range s.timers {
+		tm := &s.timers[j]
+		if tm.Pending() != s.armed[j] {
+			s.t.Fatalf("timer %d: Pending %v, shadow armed %v", j, tm.Pending(), s.armed[j])
+		}
+		if !tm.Pending() {
+			continue
+		}
+		armed++
+		slot := tm.slot - 1
+		if e.tslots[slot].tm != tm {
+			s.t.Fatalf("timer %d: slot %d belongs to another timer", j, slot)
+		}
+		if i := e.tpos[slot]; i >= len(h) || h[i].slot != slot || h[i].at != s.due[j] {
+			s.t.Fatalf("timer %d: slot %d maps to heap index %d, which does not hold its key (due %d)", j, slot, i, s.due[j])
+		}
+	}
+	if armed != len(h) || len(e.tslots)-len(e.tfree) != len(h) {
+		s.t.Fatalf("%d armed timers, %d keys in the heap, %d slots in use", armed, len(h), len(e.tslots)-len(e.tfree))
 	}
 }
 
@@ -162,10 +213,11 @@ func (s *timerScript) live() (n int, next Time, ok bool) {
 // run drives the script through random RunUntil/RunBefore horizons,
 // checking the engine's view of pending work against the shadow model
 // after each one, then drains it.
-func (s *timerScript) run(t *testing.T, driverSeed uint64) {
+func (s *timerScript) run(t *testing.T, driverSeed uint64, initial int) {
 	t.Helper()
+	s.t = t
 	drv := NewRNG(driverSeed)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < initial; i++ {
 		s.op()
 	}
 	for round := 0; round < 300; round++ {
@@ -204,15 +256,27 @@ func (s *timerScript) run(t *testing.T, driverSeed uint64) {
 // TestTimerMatchesGenerationReference: for random interleavings, the
 // in-place timers fire the same live callbacks in the same (now, order)
 // sequence as the old AtCall-plus-generation pattern, and the engine
-// processes exactly the reference's dead pops fewer events.
+// processes exactly the reference's dead pops fewer events. Seeds 1-40
+// keep a handful of timers; seeds 41-60 open with a burst of up to
+// about 300 timers, so the 4-ary timer heap runs five levels deep with
+// a partial bottom row and Cancels reach keys below the root. The real
+// model checks the timer heap's order and its slot index after every
+// scripted operation.
 func TestTimerMatchesGenerationReference(t *testing.T) {
 	var totalDead uint64
-	for seed := uint64(1); seed <= 40; seed++ {
-		nTimers := 1 + int(seed%9)
+	var maxArmed, deepCancels int
+	for seed := uint64(1); seed <= 60; seed++ {
+		nTimers, initial := 1+int(seed%9), 12
+		if seed > 40 {
+			nTimers = 20 + int(seed*37%281)
+			initial = 2 * nTimers
+		}
 		real := newTimerScript(seed, false, nTimers, 4000)
-		real.run(t, seed*7+1)
+		real.run(t, seed*7+1, initial)
 		ref := newTimerScript(seed, true, nTimers, 4000)
-		ref.run(t, seed*7+1)
+		ref.run(t, seed*7+1, initial)
+		maxArmed = max(maxArmed, real.maxArmed)
+		deepCancels += real.deepCancels
 
 		if len(real.log) != len(ref.log) {
 			t.Fatalf("seed %d: %d live firings, reference %d", seed, len(real.log), len(ref.log))
@@ -234,6 +298,11 @@ func TestTimerMatchesGenerationReference(t *testing.T) {
 	if totalDead == 0 {
 		t.Fatal("the scripts never superseded an armed timer; the property is vacuous")
 	}
+	// 1+4+16+64 = 85 keys fill four levels of a 4-ary heap.
+	if maxArmed <= 85 || deepCancels == 0 {
+		t.Fatalf("deepest timer heap %d keys, %d non-root Cancels: the scripts never reached five levels", maxArmed, deepCancels)
+	}
+	t.Logf("deepest timer heap %d keys, %d non-root Cancels", maxArmed, deepCancels)
 }
 
 // TestTimerRescheduleAndCancel pins the basic contract: a rescheduled
@@ -332,10 +401,10 @@ func TestWatchdogSeesTimerHeads(t *testing.T) {
 		if !e.Step() {
 			t.Fatal("first event did not run")
 		}
-		// Corrupt the timer the way a buggy heap would: a deadline
-		// before the current clock (Reschedule clamps, so write it
-		// directly).
-		tm.at = Time(Microsecond)
+		// Corrupt the timer's key the way a buggy heap would: a
+		// deadline before the current clock (Reschedule clamps, so
+		// write the key in the timer heap directly).
+		e.timers[e.tpos[tm.slot-1]].at = Time(Microsecond)
 		if e.Step() {
 			t.Fatal("engine fired a timer stamped before now")
 		}

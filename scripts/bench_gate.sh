@@ -2,11 +2,12 @@
 # bench_gate.sh — same-runner A/B regression gate for the event engine.
 # Builds the internal/sim test binary twice, at BASE-REF and from the
 # working tree, then alternates RUNS runs of each side (base first on
-# odd rounds, head first on even ones) of BenchmarkEngineHotLoop/heap4
-# and BenchmarkEngineEvent. It fails when the working tree's median of
-# either benchmark is more than MAX_REGRESS percent slower than the
-# base's. Both sides run on the same machine in the same job, so the
-# gate needs no recorded baseline and does not depend on the host.
+# odd rounds, head first on even ones) of BenchmarkEngineHotLoop/heap4,
+# BenchmarkEngineEvent and BenchmarkEngineTimer. It fails when the
+# working tree's median of any of them is more than MAX_REGRESS percent
+# slower than the base's. Both sides run on the same machine in the
+# same job, so the gate needs no recorded baseline and does not depend
+# on the host.
 #
 # Usage: scripts/bench_gate.sh [base-ref]     (base-ref defaults to HEAD^)
 # Env: MAX_REGRESS (default 25), RUNS (default 5, at least 5),
@@ -37,7 +38,7 @@ for i in $(seq "$runs"); do
     fi
     for side in $order; do
         (cd internal/sim && "$tmp/$side.test" -test.run '^$' \
-            -test.bench 'EngineEvent$|EngineHotLoop/heap4$' \
+            -test.bench 'EngineEvent$|EngineHotLoop/heap4$|EngineTimer$' \
             -test.benchtime "${BENCHTIME:-300ms}" -test.cpu 1) |
             awk -v side="$side" '/^Benchmark/ { print side, $1, $3 }' | tee -a "$tmp/samples"
     done
@@ -52,7 +53,7 @@ median() {
 }
 
 status=0
-for name in BenchmarkEngineHotLoop/heap4 BenchmarkEngineEvent; do
+for name in BenchmarkEngineHotLoop/heap4 BenchmarkEngineEvent BenchmarkEngineTimer; do
     if ! base="$(median base "$name")" || ! head="$(median head "$name")"; then
         echo "FAIL: no $name samples (base $base_sha or head)" >&2
         status=1
