@@ -15,14 +15,19 @@ type eventCell struct {
 	knob     Knob
 	cores    int
 	populate func(f *Fleet) error
+	// throttle keeps io.cost's default (binding) cost model and QoS in
+	// place of the overhead runs' unthrottled ones.
+	throttle bool
 	warmup   sim.Duration
 	measure  sim.Duration
 }
 
 // eventCells are the gated cells: the Fig. 4 saturation cell under
 // none (device pipe and blk hot path), the Fig. 3 QD1 cell under
-// io.cost (per-I/O controller path), and two batch apps on one SSD
-// with one capped by io.max (the release timer under a binding limit).
+// io.cost (per-I/O controller path), two batch apps on one SSD with
+// one capped by io.max (the release timer under a binding limit), and
+// fleetscale's QD1 io.cost tenants at one-SSD scale under the default
+// cost model (a release timer per throttled group).
 func eventCells() []eventCell {
 	batch := func(n int, limit string) func(f *Fleet) error {
 		return func(f *Fleet) error {
@@ -53,12 +58,24 @@ func eventCells() []eventCell {
 		_, err = f.AddApp(workload.LCApp("lc0", g), 0)
 		return err
 	}
+	tenants := func(n, cores int) func(f *Fleet) error {
+		return func(f *Fleet) error {
+			for i := 0; i < n; i++ {
+				if _, err := f.AddTenant(fleetTenantSpec(FleetScaleConfig{Cores: cores}, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	return []eventCell{
 		{name: "fig4-none", knob: KnobNone, cores: 10, populate: batch(17, ""),
 			warmup: 20 * sim.Millisecond, measure: 50 * sim.Millisecond},
 		{name: "fig3-qd1-iocost", knob: KnobIOCost, cores: 1, populate: lc,
 			warmup: 20 * sim.Millisecond, measure: 300 * sim.Millisecond},
 		{name: "iomax-throttled", knob: KnobIOMax, cores: 2, populate: batch(2, "rbps=104857600"),
+			warmup: 20 * sim.Millisecond, measure: 100 * sim.Millisecond},
+		{name: "iocost-throttled", knob: KnobIOCost, cores: 5, populate: tenants(64, 5), throttle: true,
 			warmup: 20 * sim.Millisecond, measure: 100 * sim.Millisecond},
 	}
 }
@@ -69,6 +86,9 @@ func (c eventCell) run() (float64, error) {
 	opts, err := overheadOptions(c.knob, "", c.cores, 1, 7)
 	if err != nil {
 		return 0, err
+	}
+	if c.throttle {
+		opts.IOCostModel, opts.IOCostQoS = DefaultCostModel, DefaultCostQoS
 	}
 	f, err := NewFleet(opts)
 	if err != nil {

@@ -315,15 +315,19 @@ func (c *Controller) charge(s *gstate, r *device.Request) {
 	s.vtime += cost / s.hweight
 }
 
-// armRelease schedules the group's next budget check at the instant
-// its vtime re-enters the margin.
+// armRelease schedules the group's next budget check at the first
+// whole nanosecond at which its vtime is back inside the margin. The
+// wait rounds up, like the device pipe's: truncating it would fire a
+// fraction of a nanosecond early, release nothing and re-arm at the
+// floor. The floor still catches a floating-point residue left by
+// advance.
 func (c *Controller) armRelease(s *gstate) {
 	c.advance()
 	deficit := s.vtime - (c.vnow + margin)
 	if deficit < 0 {
 		deficit = 0
 	}
-	wait := sim.Duration(deficit / c.vrate)
+	wait := sim.Duration(deficit/c.vrate) + 1
 	if wait < 2*sim.Microsecond {
 		wait = 2 * sim.Microsecond
 	}

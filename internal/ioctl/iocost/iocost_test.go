@@ -316,3 +316,42 @@ func TestManyGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseFiresOnce pins that a release timer fires at or after the
+// instant its group's budget returns, so (almost) every fire forwards
+// a request. A wait that truncated deficit/vrate fired a fraction of a
+// nanosecond early, forwarded nothing and re-armed at the 2 µs floor:
+// over a third of this test's fires were empty. Only a floating-point
+// residue in advance, or a vrate or hweight change between arm and
+// fire, may leave one empty now.
+func TestReleaseFiresOnce(t *testing.T) {
+	h := newHarness(t, "")
+	hi := h.group(t, "hi", "800")
+	lo := h.group(t, "lo", "200")
+	var fires, empty int
+	release := h.ctl.releaseCB
+	h.ctl.releaseCB = func(arg any) {
+		before := len(h.out)
+		release(arg)
+		fires++
+		if len(h.out) == before {
+			empty++
+		}
+	}
+	for i := 0; i < 40000; i++ {
+		h.submit(hi, device.Read, 4096, false)
+		h.submit(lo, device.Read, 4096, false)
+	}
+	h.eng.RunUntil(sim.Time(100 * sim.Millisecond))
+	if fires < 10000 {
+		t.Fatalf("only %d release fires: the model does not bind", fires)
+	}
+	if h.outBy[hi.ID()] <= h.outBy[lo.ID()] {
+		t.Fatalf("forwarded hi=%d lo=%d: weights do not bind", h.outBy[hi.ID()], h.outBy[lo.ID()])
+	}
+	t.Logf("%d of %d release fires forwarded nothing", empty, fires)
+	if frac := float64(empty) / float64(fires); frac >= 0.001 {
+		t.Fatalf("%d of %d release fires (%.2f%%) forwarded nothing, want < 0.1%%",
+			empty, fires, 100*frac)
+	}
+}

@@ -203,14 +203,17 @@ func (c *Controller) armTimer(b *bucket, lim cgroup.IOMax) {
 	c.eng.Reschedule(&b.timer, c.eng.Now().Add(wait), c.releaseCB, b)
 }
 
-// deficitWait returns how long until all limited balances reach zero.
+// deficitWait returns how long until all limited balances reach zero,
+// rounded up to the next whole nanosecond so that the release finds
+// the bucket affordable rather than a fraction of a token short. The
+// 1 µs floor still catches a floating-point residue left by refill.
 func (c *Controller) deficitWait(b *bucket, lim cgroup.IOMax) sim.Duration {
 	var wait sim.Duration
 	add := func(balance, rate float64) {
 		if math.IsInf(rate, 1) || balance >= 0 {
 			return
 		}
-		if w := sim.Duration(-balance / rate * float64(sim.Second)); w > wait {
+		if w := sim.Duration(-balance/rate*float64(sim.Second)) + 1; w > wait {
 			wait = w
 		}
 	}
